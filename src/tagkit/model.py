@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import MaskParams, apply_mask, mixup
 from .corpus import MultiLabelCorpus
 from .metrics import EvalReport, evaluate
 from .rng import stream, stream_seed
@@ -78,12 +77,38 @@ class ModelConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument never overflows; each branch is the
+    # textbook form that is exact on its own sign.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# The head's per-head contractions run as one 2-D matmul each, so BLAS does
+# them: head weights (H, D, C) sit side by side as a (D, H*C) matrix, and
+# frames (B, H, T', C) as rows of a (B*T', H*C) matrix.
+
+
+def _head_matrix(w: np.ndarray) -> np.ndarray:
+    """(H, D, C) -> (D, H*C)."""
+    nh, d, c = w.shape
+    return w.transpose(1, 0, 2).reshape(d, nh * c)
+
+
+def _from_head_matrix(m: np.ndarray, nh: int) -> np.ndarray:
+    """(D, H*C) -> (H, D, C)."""
+    d = m.shape[0]
+    return m.reshape(d, nh, -1).transpose(1, 0, 2)
+
+
+def _split_heads(m: np.ndarray, bsz: int, nh: int) -> np.ndarray:
+    """(B*T', H*C) -> (B, H, T', C)."""
+    return m.reshape(bsz, -1, nh, m.shape[1] // nh).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(B, H, T', C) -> (B*T', H*C)."""
+    bsz, nh, t, c = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(bsz * t, nh * c)
 
 
 class Model:
@@ -162,11 +187,15 @@ class Model:
             cache = {"pooled": pooled, "logits": logits, "att_norm": None}
         else:
             r1, h1, r2, h = self._encode(x)
-            att_logit = np.einsum("btd,hdc->bhtc", h, p["att_w"]) + p["att_b"][None, :, None, :]
+            bsz, nh = x.shape[0], self.config.num_heads
+            rows = h.reshape(-1, h.shape[2])  # (B*T', D)
+            att_logit = (_split_heads(rows @ _head_matrix(p["att_w"]), bsz, nh)
+                         + p["att_b"][None, :, None, :])
             att = _sigmoid(att_logit)
             att_sum = att.sum(axis=2, keepdims=True)  # (B, H, 1, C)
             att_norm = att / att_sum
-            cls = np.einsum("btd,hdc->bhtc", h, p["cls_w"]) + p["cls_b"][None, :, None, :]
+            cls = (_split_heads(rows @ _head_matrix(p["cls_w"]), bsz, nh)
+                   + p["cls_b"][None, :, None, :])
             head_out = (att_norm * cls).sum(axis=2)  # (B, H, C)
             g = p["head_gates"]
             gamma = np.exp(g - g.max())
@@ -243,12 +272,16 @@ class Model:
             datt_logit = datt * att * (1.0 - att)
 
             h = cache["h"]
-            grads["att_w"] = np.einsum("btd,bhtc->hdc", h, datt_logit)
+            nh = self.config.num_heads
+            rows = h.reshape(-1, h.shape[2])  # (B*T', D)
+            datt_rows, dcls_rows = _merge_heads(datt_logit), _merge_heads(dcls)
+            grads["att_w"] = _from_head_matrix(rows.T @ datt_rows, nh)
             grads["att_b"] = datt_logit.sum(axis=(0, 2))
-            grads["cls_w"] = np.einsum("btd,bhtc->hdc", h, dcls)
+            grads["cls_w"] = _from_head_matrix(rows.T @ dcls_rows, nh)
             grads["cls_b"] = dcls.sum(axis=(0, 2))
-            dh = np.einsum("bhtc,hdc->btd", datt_logit, p["att_w"])
-            dh += np.einsum("bhtc,hdc->btd", dcls, p["cls_w"])
+            dh = datt_rows @ _head_matrix(p["att_w"]).T
+            dh += dcls_rows @ _head_matrix(p["cls_w"]).T
+            dh = dh.reshape(h.shape)
 
             h1, r1, r2 = cache["h1"], cache["r1"], cache["r2"]
             dz2 = dh * (1.0 - h * h)
@@ -445,28 +478,34 @@ def _assemble_batch(
     index: np.ndarray,
     mask_value: float,
 ):
-    xs, ys = [], []
-    for n in index:
-        i = int(plan.primary[n])
-        x = corpus.samples[i].features
-        y = labels[i].astype(np.float64)
-        if plan.is_mixup[n]:
-            j = int(plan.partner[n])
-            x, y = mixup(x, y, corpus.samples[j].features, labels[j].astype(np.float64),
-                         float(plan.mix_lambda[n]))
-        x = apply_mask(
-            x,
-            MaskParams(
-                freq_off=int(plan.freq_off[n]),
-                freq_len=int(plan.freq_len[n]),
-                time_off=int(plan.time_off[n]),
-                time_len=int(plan.time_len[n]),
-            ),
-            mask_value,
-        )
-        xs.append(x)
-        ys.append(y)
-    return np.stack(xs), np.stack(ys)
+    """Features and soft labels of plan draws ``index``: mixup, then time/frequency masks.
+
+    Bit-identical to applying ``augment.mixup`` and ``augment.apply_mask``
+    draw by draw; plan_epoch guarantees the masks fit the feature shape.
+    """
+    primary = plan.primary[index]
+    x = np.stack([corpus.samples[i].features for i in primary])
+    y = labels[primary].astype(np.float64)
+    mix = plan.is_mixup[index]
+    if mix.any():
+        partner = plan.partner[index][mix]
+        lam = plan.mix_lambda[index][mix]
+        # In place: at large clip shapes every extra batch-sized temporary
+        # costs a pass over memory that no longer fits in cache.
+        mixed = x[mix]
+        mixed *= lam[:, None, None]
+        xj = np.stack([corpus.samples[j].features for j in partner])
+        xj *= (1.0 - lam)[:, None, None]
+        mixed += xj
+        x[mix] = mixed
+        y[mix] = lam[:, None] * y[mix] + (1.0 - lam)[:, None] * labels[partner]
+    t = np.arange(x.shape[1])
+    f = np.arange(x.shape[2])
+    t0, tl = plan.time_off[index][:, None], plan.time_len[index][:, None]
+    f0, fl = plan.freq_off[index][:, None], plan.freq_len[index][:, None]
+    x[(t >= t0) & (t < t0 + tl)] = mask_value  # (B, T) rows
+    np.copyto(x, mask_value, where=((f >= f0) & (f < f0 + fl))[:, None, :])  # (B, F) columns
+    return x, y
 
 
 def train(

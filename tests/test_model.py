@@ -1,10 +1,17 @@
 """Model forward/backward, loss, LR schedule, training loop, checkpoints."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tagkit
+from tagkit.augment import MaskParams, apply_mask, mixup
 from tagkit.corpus import SynthSpec, generate_synthetic
 from tagkit.model import (
     CheckpointError,
@@ -16,13 +23,15 @@ from tagkit.model import (
     ModelError,
     ParameterVector,
     TrainConfig,
+    _assemble_batch,
+    _sigmoid,
     grad_check,
     load_external_init,
     loss,
     train,
 )
 from tagkit.rng import stream
-from tagkit.sampler import AugmentConfig
+from tagkit.sampler import AugmentConfig, plan_epoch
 
 SMALL_ATT = ModelConfig(num_classes=5, time_frames=16, freq_bins=8,
                         num_heads=2, embed_dim=8, hidden_dim=6, time_strides=(2, 2))
@@ -166,6 +175,97 @@ class TestGradients:
             grad_check(model, np.zeros((1, 32, 64)), np.zeros((1, 100)))
 
 
+def boolean_index_sigmoid(z):
+    """Reference sigmoid: each sign's exact form applied through a boolean index."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def einsum_head_oracle(model, x, y):
+    """Logits and gradients of the attention variant with the head contractions as einsums."""
+    p = model.params
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim == 2:
+        x, y = x[None], y[None]
+    r1, h1, r2, h = model._encode(x)
+    att_logit = np.einsum("btd,hdc->bhtc", h, p["att_w"]) + p["att_b"][None, :, None, :]
+    att = boolean_index_sigmoid(att_logit)
+    att_sum = att.sum(axis=2, keepdims=True)
+    att_norm = att / att_sum
+    cls = np.einsum("btd,hdc->bhtc", h, p["cls_w"]) + p["cls_b"][None, :, None, :]
+    head_out = (att_norm * cls).sum(axis=2)
+    g = p["head_gates"]
+    gamma = np.exp(g - g.max())
+    gamma /= gamma.sum()
+    z = np.einsum("bhc,h->bc", head_out, gamma)
+
+    dz = (boolean_index_sigmoid(z) - y) / z.size
+    grads = {}
+    dgamma = np.einsum("bc,bhc->h", dz, head_out)
+    grads["head_gates"] = gamma * (dgamma - gamma @ dgamma)
+    dhead = dz[:, None, :] * gamma[None, :, None]
+    dcls = dhead[:, :, None, :] * att_norm
+    datt_norm = dhead[:, :, None, :] * cls
+    inner = (datt_norm * att_norm).sum(axis=2, keepdims=True)
+    datt_logit = (datt_norm - inner) / att_sum * att * (1.0 - att)
+    grads["att_w"] = np.einsum("btd,bhtc->hdc", h, datt_logit)
+    grads["att_b"] = datt_logit.sum(axis=(0, 2))
+    grads["cls_w"] = np.einsum("btd,bhtc->hdc", h, dcls)
+    grads["cls_b"] = dcls.sum(axis=(0, 2))
+    dh = (np.einsum("bhtc,hdc->btd", datt_logit, p["att_w"])
+          + np.einsum("bhtc,hdc->btd", dcls, p["cls_w"]))
+    dz2 = dh * (1.0 - h * h)
+    grads["enc2_w"] = r2.reshape(-1, r2.shape[2]).T @ dz2.reshape(-1, dz2.shape[2])
+    grads["enc2_b"] = dz2.sum(axis=(0, 1))
+    dz1 = (dz2 @ p["enc2_w"].T).reshape(h1.shape) * (1.0 - h1 * h1)
+    grads["enc1_w"] = r1.reshape(-1, r1.shape[2]).T @ dz1.reshape(-1, dz1.shape[2])
+    grads["enc1_b"] = dz1.sum(axis=(0, 1))
+    return z, grads
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestHeadOracle:
+    @pytest.mark.parametrize("heads, classes, batch, squeeze", [
+        (2, 5, 3, False),
+        (1, 5, 3, False),
+        (3, 1, 4, False),
+        (2, 5, 1, False),
+        (2, 5, 1, True),
+    ])
+    def test_matmul_head_matches_einsum_oracle(self, heads, classes, batch, squeeze):
+        config = ModelConfig(num_classes=classes, time_frames=16, freq_bins=8,
+                             num_heads=heads, embed_dim=8, hidden_dim=6, time_strides=(2, 2))
+        model = Model.init(config, stream(30, "init"))
+        rng = np.random.default_rng(31)
+        for name, value in model.params.items():  # non-zero biases and gates too
+            model.params[name] = 0.5 * rng.standard_normal(value.shape)
+        x, y = random_batch(config, batch=batch, seed=32)
+        if squeeze:
+            x, y = x[0], y[0]
+        want_z, want_grads = einsum_head_oracle(model, x, y)
+        assert_rel_close(np.atleast_2d(model.forward_logits(x)), want_z)
+        _, grads = model.loss_and_grads(x, y)
+        assert set(grads) == set(want_grads)
+        for name, want in want_grads.items():
+            assert_rel_close(grads[name], want)
+
+    def test_sigmoid_matches_boolean_index_form_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0])
+        for z in (edges, 40.0 * rng.standard_normal(1000),
+                  rng.standard_normal((3, 4, 5, 6)).transpose(0, 2, 1, 3)):
+            assert _sigmoid(z).tobytes() == boolean_index_sigmoid(z).tobytes()
+
+
 class TestLRSchedule:
     def test_linear_warmup_midpoint(self):
         sched = LRSchedule(base_lr=1e-3, warmup_iters=1000)
@@ -258,6 +358,83 @@ class TestTrain:
         result = train(corpus, mc, ac, tc, eval_corpus=evalc)
         maps = [r.map for r in result.eval_reports]
         assert result.headline_map(2) == pytest.approx(np.mean(maps[-2:]))
+
+
+THREADED_TRAIN = """
+import sys
+from tagkit.corpus import SynthSpec, generate_synthetic
+from tagkit.model import LRSchedule, ModelConfig, TrainConfig, train
+from tagkit.sampler import AugmentConfig
+
+corpus = generate_synthetic(SynthSpec(num_classes=20, num_samples=800, imbalance_ratio=4,
+                                      seed=41, feature_shape=(64, 8)))
+config = ModelConfig(num_classes=20, time_frames=64, freq_bins=8, num_heads=2,
+                     embed_dim=32, hidden_dim=16, time_strides=(2, 2))
+result = train(corpus, config, AugmentConfig(freq_mask_max=2, time_mask_max=8, mixup_rate=0.5),
+               TrainConfig(epochs=2, batch_size=400, seed=3,
+                           schedule=LRSchedule(base_lr=5e-3, warmup_iters=2)))
+result.checkpoints[-1].save(sys.argv[1])
+"""
+
+
+def test_checkpoint_bytes_independent_of_blas_threads(tmp_path):
+    # Batch 400 makes the head matmuls (6400 x 32 @ 32 x 40) big enough for
+    # OpenBLAS to split them across threads.
+    src = str(Path(tagkit.__file__).resolve().parents[1])
+    ckpts = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        path = tmp_path / f"threads{threads}.ckpt"
+        subprocess.run([sys.executable, "-c", THREADED_TRAIN, str(path)], env=env,
+                       check=True, timeout=300)
+        ckpts[threads] = path.read_bytes()
+    assert ckpts["1"] == ckpts["2"]
+
+
+def per_sample_batch(corpus, labels, plan, index, mask_value):
+    """Reference batch assembly: augment.mixup then augment.apply_mask, draw by draw."""
+    xs, ys = [], []
+    for n in index:
+        i = int(plan.primary[n])
+        x = corpus.samples[i].features
+        y = labels[i].astype(np.float64)
+        if plan.is_mixup[n]:
+            j = int(plan.partner[n])
+            x, y = mixup(x, y, corpus.samples[j].features, labels[j].astype(np.float64),
+                         float(plan.mix_lambda[n]))
+        mask = MaskParams(freq_off=int(plan.freq_off[n]), freq_len=int(plan.freq_len[n]),
+                          time_off=int(plan.time_off[n]), time_len=int(plan.time_len[n]))
+        xs.append(apply_mask(x, mask, mask_value))
+        ys.append(y)
+    return np.stack(xs), np.stack(ys)
+
+
+class TestAssembleBatch:
+    @pytest.mark.parametrize("mixup_rate", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("masks", ["drawn", "empty", "full"])
+    @pytest.mark.parametrize("mask_value", [0.0, -3.25])
+    def test_matches_per_sample_oracle(self, mixup_rate, masks, mask_value):
+        corpus = generate_synthetic(SynthSpec(num_classes=4, num_samples=50, imbalance_ratio=3,
+                                              seed=34, feature_shape=(16, 8)))
+        labels = corpus.label_matrix()
+        t_frames, f_bins = corpus.feature_shape
+        plan = plan_epoch(np.ones(len(corpus.samples)),
+                          AugmentConfig(freq_mask_max=f_bins, time_mask_max=t_frames,
+                                        mixup_rate=mixup_rate),
+                          corpus.feature_shape, 35)
+        n = len(plan)
+        zeros = np.zeros(n, dtype=np.int64)
+        if masks == "empty":
+            plan = replace(plan, freq_len=zeros, time_len=zeros)
+        elif masks == "full":
+            plan = replace(plan, freq_off=zeros, freq_len=np.full(n, f_bins),
+                           time_off=zeros, time_len=np.full(n, t_frames))
+        for lo in range(0, n, 16):  # the last batch is partial
+            index = np.arange(lo, min(lo + 16, n))
+            x, y = _assemble_batch(corpus, labels, plan, index, mask_value)
+            want_x, want_y = per_sample_batch(corpus, labels, plan, index, mask_value)
+            assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
+            assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes()
 
 
 class TestParameterVector:
