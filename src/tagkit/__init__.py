@@ -11,12 +11,13 @@ from .augment import MaskParams, apply_mask, mixup
 from .corpus import (
     ClassTable,
     MultiLabelCorpus,
-    Sample,
     SynthSpec,
-    count_classes,
     generate_synthetic,
     read_corpus,
+    read_labels,
+    read_manifest,
     write_corpus,
+    write_labels,
 )
 from .labelfix import ThresholdSet, enhance, enhance_eval_set, make_thresholds
 from .metrics import EvalReport, average_precision, correlate, d_prime, evaluate, roc_auc

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregate as agg
-from .corpus import CorpusError, MultiLabelCorpus, SynthSpec, generate_synthetic, read_corpus
+from .corpus import (CorpusError, MultiLabelCorpus, SynthSpec, generate_synthetic, read_corpus,
+                     read_labels, read_manifest, write_labels)
 from .labelfix import (
     MODES,
     POLICIES,
@@ -144,6 +145,9 @@ def validate_config(config: dict, source: str = "<dict>") -> None:
             raise ConfigError(f"{source}: {field}.labels does not exist: {spec['labels']}")
     if config["init_path"] is not None and not Path(config["init_path"]).exists():
         raise ConfigError(f"{source}: init_path does not exist: {config['init_path']}")
+    start = config["weight_avg_start"]
+    if start is not None and (type(start) is not int or start < 1):
+        raise ConfigError(f"{source}: weight_avg_start must be null or an integer >= 1")
     if config["model"]["variant"] not in ("attention", "linear"):
         raise ConfigError(f"{source}: model.variant must be 'attention' or 'linear'")
     enh = config["enhance"]
@@ -172,24 +176,23 @@ def config_hash(config: dict) -> str:
 
 def _load_labels_override(corpus: MultiLabelCorpus, labels_path: str) -> MultiLabelCorpus:
     """Swap in a drop-in replacement label file (e.g. an enhanced set)."""
-    index_of = {name: k for k, name in enumerate(corpus.class_table.names)}
-    by_id = {s.id: i for i, s in enumerate(corpus.samples)}
+    row_of = {sid: i for i, sid in enumerate(corpus.ids)}
     labels = corpus.label_matrix()
-    for line in Path(labels_path).read_text().splitlines():
-        if not line.strip():
-            continue
-        sid, _, tags = line.partition("\t")
-        if sid not in by_id:
+    for sid, bits in zip(*read_labels(labels_path, corpus.class_names)):
+        if sid not in row_of:
             raise ConfigError(f"labels override: unknown sample id {sid!r}")
-        bits = np.zeros(corpus.num_classes, dtype=np.uint8)
-        for tag in tags.split(","):
-            tag = tag.strip()
-            if tag:
-                if tag not in index_of:
-                    raise ConfigError(f"labels override: unknown class {tag!r}")
-                bits[index_of[tag]] = 1
-        labels[by_id[sid]] = bits
+        labels[row_of[sid]] = bits
     return corpus.with_labels(labels)
+
+
+def _synth_spec(synth: dict, **defaults) -> SynthSpec:
+    fields = {**defaults, **synth}
+    if "feature_shape" in fields:
+        fields["feature_shape"] = tuple(fields["feature_shape"])
+    try:
+        return SynthSpec(**fields)
+    except TypeError as err:
+        raise ConfigError(f"bad synth spec: {err}")
 
 
 def _build_one_corpus(
@@ -200,41 +203,49 @@ def _build_one_corpus(
     if "path" in spec:
         corpus = read_corpus(spec["path"])
     else:
-        synth = dict(spec["synth"])
-        synth.setdefault("seed", int(stream(master_seed, stream_name).integers(2**31)))
+        defaults = {"seed": int(stream(master_seed, stream_name).integers(2**31))}
         if pattern_seed is not None:
-            synth.setdefault("pattern_seed", pattern_seed)
-        if "feature_shape" in synth:
-            synth["feature_shape"] = tuple(synth["feature_shape"])
-        try:
-            corpus = generate_synthetic(SynthSpec(**synth))
-        except TypeError as err:
-            raise ConfigError(f"bad synth spec: {err}")
+            defaults["pattern_seed"] = pattern_seed
+        corpus = generate_synthetic(_synth_spec(spec["synth"], **defaults))
     if "labels" in spec:
         corpus = _load_labels_override(corpus, spec["labels"])
     return corpus
 
 
 def build_corpora(config: dict) -> tuple[MultiLabelCorpus, MultiLabelCorpus | None]:
-    """Train and eval corpora; a synthetic eval split inherits the train patterns."""
+    """Train and eval corpora."""
+    corpus = _build_one_corpus(config["corpus"], int(config["seed"]), "synth")
+    return corpus, build_eval_corpus(config)
+
+
+def build_eval_corpus(config: dict) -> MultiLabelCorpus | None:
+    """The eval corpus alone; a synthetic eval split inherits the train patterns."""
     seed = int(config["seed"])
-    corpus = _build_one_corpus(config["corpus"], seed, "synth")
     pattern_seed = None
-    if "synth" in (config["corpus"] or {}):
+    if "synth" in config["corpus"]:
         synth = config["corpus"]["synth"]
         pattern_seed = synth.get("pattern_seed", synth.get("seed"))
         if pattern_seed is None:
             pattern_seed = int(stream(seed, "synth").integers(2**31))
-    eval_corpus = _build_one_corpus(config["eval_corpus"], seed, "synth_eval", pattern_seed)
-    return corpus, eval_corpus
+    return _build_one_corpus(config["eval_corpus"], seed, "synth_eval", pattern_seed)
 
 
-def build_model_config(config: dict, corpus: MultiLabelCorpus) -> ModelConfig:
+def build_model_config(config: dict) -> ModelConfig:
+    """Model shape from the training corpus's header (manifest or synth spec), not its data."""
+    spec = config["corpus"]
+    if "path" in spec:
+        shape, names, _ = read_manifest(spec["path"])
+        num_classes = len(names)
+    else:
+        synth = _synth_spec(spec["synth"])
+        shape, num_classes = synth.feature_shape, synth.num_classes
+    if len(shape) != 2:
+        raise ConfigError(f"the model needs (time, freq) features, corpus shape is {shape}")
     m = config["model"]
     return ModelConfig(
-        num_classes=corpus.num_classes,
-        time_frames=corpus.feature_shape[0],
-        freq_bins=corpus.feature_shape[1],
+        num_classes=num_classes,
+        time_frames=shape[0],
+        freq_bins=shape[1],
         variant=m["variant"],
         num_heads=int(m["num_heads"]),
         embed_dim=int(m["embed_dim"]),
@@ -308,7 +319,7 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
         corpus, eval_corpus = build_corpora(config)
         if config["enhance"] is not None:
             corpus = _apply_enhancement(config["enhance"], corpus, run_dir)
-        model_config = build_model_config(config, corpus)
+        model_config = build_model_config(config)
         augment_config = build_augment_config(config)
         train_config = build_train_config(config)
 
@@ -339,10 +350,11 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
 
         eval_dir = run_dir / "eval"
         eval_dir.mkdir(exist_ok=True)
-        names = corpus.class_table.names
         for epoch, report in enumerate(result.eval_reports, start=1):
             report.write_json(eval_dir / f"epoch_{epoch:03d}.json")
-            report.write_class_csv(eval_dir / f"epoch_{epoch:03d}.csv", class_names=names)
+            report.write_class_csv(eval_dir / f"epoch_{epoch:03d}.csv",
+                                   class_names=corpus.class_names,
+                                   class_counts=corpus.class_table.counts)
 
         summary = {
             "config_hash": config_hash(config),
@@ -354,10 +366,10 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
             eval_feats = eval_corpus.feature_tensor()
             eval_labels = eval_corpus.label_matrix()
 
-            start = config["weight_avg_start"] or train_config.schedule.averaging_start_epoch(
-                train_config.epochs
-            )
-            start = min(int(start), train_config.epochs)
+            start = config["weight_avg_start"]
+            if start is None:
+                start = train_config.schedule.averaging_start_epoch(train_config.epochs)
+            start = min(start, train_config.epochs)
             wa_vec = agg.average_weights(result.checkpoints, start)
             wa_vec.save(run_dir / "weight_avg.ckpt")
             wa_report = evaluate(
@@ -385,15 +397,15 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
 def _apply_enhancement(enh: dict, corpus: MultiLabelCorpus, run_dir: Path) -> MultiLabelCorpus:
     """Repair the training labels with a teacher run before training starts."""
     teacher_run = Path(enh["teacher_run"])
-    _, teacher_config, _, _ = _load_run(teacher_run)
+    _, teacher_config = _load_run(teacher_run)
     teacher = Model.from_vector(teacher_config, _teacher_checkpoint(teacher_run))
-    onto = read_ontology(enh["ontology"], corpus.class_table.names)
+    onto = read_ontology(enh["ontology"], corpus.class_names)
     labels = corpus.label_matrix()
     scores = teacher.predict(corpus.feature_tensor())
     thresholds = make_thresholds(scores, labels, enh.get("policy", "mean"))
     enhanced, audit = enhance(labels, scores, onto, thresholds,
                               mode=enh.get("mode", "both"), strict=False)
-    audit.write_csv(run_dir / "enhance_audit.csv", corpus.class_table.names)
+    audit.write_csv(run_dir / "enhance_audit.csv", corpus.class_names)
     return corpus.with_labels(enhanced)
 
 
@@ -471,11 +483,11 @@ def run_ablation(
     return rows
 
 
-def _load_run(run_dir: Path) -> tuple[dict, ModelConfig, MultiLabelCorpus, MultiLabelCorpus | None]:
+def _load_run(run_dir: Path) -> tuple[dict, ModelConfig]:
     config_file = run_dir / "config.json"
     if not config_file.is_file():
         raise ConfigError(f"not a run directory (no config.json): {run_dir}")
-    config = merge_config(json.loads(config_file.read_text()), source=str(config_file))
+    config = load_config(config_file)
     summary_file = run_dir / "summary.json"
     if summary_file.is_file():
         recorded = json.loads(summary_file.read_text()).get("config_hash")
@@ -485,8 +497,7 @@ def _load_run(run_dir: Path) -> tuple[dict, ModelConfig, MultiLabelCorpus, Multi
                 "reproduction is not guaranteed",
                 file=sys.stderr,
             )
-    corpus, eval_corpus = build_corpora(config)
-    return config, build_model_config(config, corpus), corpus, eval_corpus
+    return config, build_model_config(config)
 
 
 def _teacher_checkpoint(run_dir: Path) -> ParameterVector:
@@ -517,9 +528,10 @@ def run_enhance(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    _, model_config, corpus, eval_corpus = _load_run(teacher_run)
+    config, model_config = _load_run(teacher_run)
+    corpus, eval_corpus = build_corpora(config)
     teacher = Model.from_vector(model_config, _teacher_checkpoint(teacher_run))
-    onto = read_ontology(ontology_path, corpus.class_table.names)
+    onto = read_ontology(ontology_path, corpus.class_names)
 
     train_labels = corpus.label_matrix()
     train_scores = teacher.predict(corpus.feature_tensor())
@@ -528,10 +540,9 @@ def run_enhance(
         thresholds = make_thresholds(train_scores, train_labels, policy)
         enhanced, audit = enhance(train_labels, train_scores, onto, thresholds,
                                   mode=mode, strict=strict)
-        _write_label_file(out_dir / f"train_labels_{policy}_{mode}.txt",
-                          corpus, enhanced)
-        audit.write_csv(out_dir / f"audit_train_{policy}_{mode}.csv",
-                        corpus.class_table.names)
+        write_labels(out_dir / f"train_labels_{policy}_{mode}.txt",
+                     corpus.ids, enhanced, corpus.class_names)
+        audit.write_csv(out_dir / f"audit_train_{policy}_{mode}.csv", corpus.class_names)
         entry = {
             "train_labels_added": audit.labels_added,
             "train_added_pct": audit.added_pct,
@@ -543,22 +554,14 @@ def run_enhance(
             enhanced_eval, eval_audit = enhance_eval_set(
                 eval_labels, eval_scores, onto, thresholds, mode=mode, strict=strict
             )
-            _write_label_file(out_dir / f"eval_labels_{policy}_{mode}.txt",
-                              eval_corpus, enhanced_eval)
+            write_labels(out_dir / f"eval_labels_{policy}_{mode}.txt",
+                         eval_corpus.ids, enhanced_eval, eval_corpus.class_names)
             eval_audit.write_csv(out_dir / f"audit_eval_{policy}_{mode}.csv",
-                                 eval_corpus.class_table.names)
+                                 eval_corpus.class_names)
             entry["eval_labels_added"] = eval_audit.labels_added
         results[policy] = entry
     (out_dir / "enhance_summary.json").write_text(json.dumps(results, indent=2) + "\n")
     return results
-
-
-def _write_label_file(path: Path, corpus: MultiLabelCorpus, labels: np.ndarray) -> None:
-    names = corpus.class_table.names
-    with open(path, "w") as fh:
-        for i, sample in enumerate(corpus.samples):
-            tags = ",".join(names[k] for k in np.flatnonzero(labels[i]))
-            fh.write(f"{sample.id}\t{tags}\n")
 
 
 def run_aggregate(
@@ -578,17 +581,18 @@ def run_aggregate(
     if not run_dirs:
         raise ConfigError(f"committee manifest {manifest_path} lists no runs")
 
-    first_config, first_model_config, _, eval_corpus = _load_run(run_dirs[0])
+    loaded = [_load_run(run_dir) for run_dir in run_dirs]
     if eval_corpus_path is not None:
         eval_corpus = read_corpus(eval_corpus_path)
+    else:
+        eval_corpus = build_eval_corpus(loaded[0][0])
     if eval_corpus is None:
         raise ConfigError("no eval corpus: pass one or configure it in the first run")
     eval_feats = eval_corpus.feature_tensor()
     eval_labels = eval_corpus.label_matrix()
 
     members, tags = [], []
-    for run_dir in run_dirs:
-        _, model_config, _, _ = _load_run(run_dir)
+    for run_dir, (_, model_config) in zip(run_dirs, loaded):
         member = Model.from_vector(model_config, _teacher_checkpoint(run_dir))
         members.append(member.predict(eval_feats))
         tags.append(str(run_dir))
@@ -622,7 +626,7 @@ def run_aggregate(
             ParameterVector.load(p)
             for p in sorted((run_dirs[0] / "checkpoints").glob("epoch_*.ckpt"))
         ]
-        points = agg.sweep_start_epoch(ckpts, first_model_config, eval_feats, eval_labels)
+        points = agg.sweep_start_epoch(ckpts, loaded[0][1], eval_feats, eval_labels)
         agg.write_sweep_csv(points, out_dir / "start_epoch_sweep.csv")
     return comparison
 
@@ -718,9 +722,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     run_dir = Path(args.run)
-    _, model_config, _, eval_corpus = _load_run(run_dir)
+    config, model_config = _load_run(run_dir)
     if args.corpus is not None:
         eval_corpus = read_corpus(args.corpus)
+    else:
+        eval_corpus = build_eval_corpus(config)
     if eval_corpus is None:
         raise ConfigError("run has no eval corpus; pass --corpus")
     if args.checkpoint:

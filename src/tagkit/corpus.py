@@ -14,14 +14,12 @@ at load; longer payloads are a shape error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .rng import stream
-
-MAX_LABELS_PER_SAMPLE = 5
 
 _ID_SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
 
@@ -64,68 +62,59 @@ class ClassTable:
 
 
 @dataclass
-class Sample:
-    id: str
-    features: np.ndarray  # (time, freq) or 1-D signal
-    labels: np.ndarray  # multi-hot uint8, length C
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-        if self.labels.sum() < 1:
-            raise CorpusError(f"sample {self.id!r} has no labels")
-        if not np.all(np.isfinite(self.features)):
-            raise CorpusError(f"sample {self.id!r} has non-finite features")
-
-
-@dataclass
 class MultiLabelCorpus:
-    samples: list[Sample]
-    class_table: ClassTable
-    feature_shape: tuple[int, ...]
+    """Samples as columns: ids, an (N, *feature_shape) feature array, an (N, C) uint8 label matrix.
+
+    Synthesis and disk reads store float32 features. class_table and
+    feature_shape are derived from the arrays once, here.
+    """
+
+    ids: list[str]
+    features: np.ndarray
+    labels: np.ndarray
+    class_names: list[str]
+    class_table: ClassTable = field(init=False)
+    feature_shape: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        self.feature_shape = tuple(int(d) for d in self.feature_shape)
-        if len(self.samples) < 1:
+        self.features = np.asarray(self.features)
+        self.labels = np.asarray(self.labels, dtype=np.uint8)
+        n, c = len(self.ids), len(self.class_names)
+        if n < 1:
             raise CorpusError("corpus needs at least one sample")
-        c = self.class_table.num_classes
-        for s in self.samples:
-            if s.features.shape != self.feature_shape:
-                raise ShapeMismatchError(
-                    f"sample {s.id!r} features {s.features.shape} != declared {self.feature_shape}"
-                )
-            if s.labels.shape != (c,):
-                raise CorpusError(f"sample {s.id!r} label vector length != {c}")
+        if len(self.features) != n or self.labels.shape != (n, c):
+            raise ShapeMismatchError(f"{n} ids and {c} classes, but features "
+                                     f"{self.features.shape} and labels {self.labels.shape}")
+        unlabeled = np.flatnonzero(~self.labels.any(axis=1))
+        if len(unlabeled):
+            raise CorpusError(f"sample {self.ids[unlabeled[0]]!r} has no labels")
+        # min and max carry any nan or inf without a full-size boolean temporary
+        rest = tuple(range(1, self.features.ndim))
+        lo, hi = self.features.min(axis=rest), self.features.max(axis=rest)
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        if not finite.all():
+            raise CorpusError(f"sample {self.ids[np.argmin(finite)]!r} has non-finite features")
+        self.class_table = ClassTable(self.class_names, self.labels.sum(axis=0))
+        self.feature_shape = self.features.shape[1:]
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
     @property
     def num_classes(self) -> int:
         return self.class_table.num_classes
 
     def label_matrix(self) -> np.ndarray:
-        """(N, C) multi-hot uint8 matrix."""
-        return np.stack([s.labels for s in self.samples]).astype(np.uint8)
+        """(N, C) multi-hot uint8 matrix (a copy)."""
+        return self.labels.copy()
 
     def feature_tensor(self) -> np.ndarray:
-        """(N, *feature_shape) float64 stack of all sample features."""
-        return np.stack([s.features for s in self.samples])
+        """(N, *feature_shape) float64 copy of all sample features."""
+        return self.features.astype(np.float64)
 
     def with_labels(self, labels: np.ndarray) -> "MultiLabelCorpus":
-        """Copy of the corpus with a replacement (N, C) label matrix (e.g. an enhanced set)."""
-        labels = np.asarray(labels, dtype=np.uint8)
-        if labels.shape != (len(self), self.num_classes):
-            raise CorpusError("replacement label matrix has wrong shape")
-        samples = [replace(s, labels=labels[i]) for i, s in enumerate(self.samples)]
-        table = ClassTable(list(self.class_table.names), labels.sum(axis=0))
-        return MultiLabelCorpus(samples, table, self.feature_shape)
-
-
-def count_classes(corpus: MultiLabelCorpus) -> ClassTable:
-    """Tally per-class sample counts from the label vectors."""
-    counts = corpus.label_matrix().sum(axis=0).astype(np.int64)
-    return ClassTable(list(corpus.class_table.names), counts)
+        """Copy with a replacement (N, C) label matrix (e.g. an enhanced set); shares features."""
+        return MultiLabelCorpus(self.ids, self.features, labels, self.class_names)
 
 
 @dataclass(frozen=True)
@@ -243,46 +232,69 @@ def generate_synthetic(spec: SynthSpec) -> MultiLabelCorpus:
     signatures /= np.linalg.norm(signatures, axis=1, keepdims=True)
     window = max(1, t_frames // 2)
 
-    pad = len(str(n))
-    samples = []
+    # Stored payloads are float32; quantize now so disk round-trips are exact.
+    features = np.empty((n, t_frames, f_bins), dtype=np.float32)
     for i in range(n):
         x = rng.standard_normal((t_frames, f_bins))
         for k in np.flatnonzero(labels[i]):
             start = int(rng.integers(0, t_frames - window + 1))
             x[start : start + window, :] += spec.planted_signal_strength * signatures[k]
-        # Stored payloads are float32; quantize now so disk round-trips are exact.
-        x = x.astype(np.float32).astype(np.float64)
-        samples.append(Sample(id=f"s{i:0{pad}d}", features=x, labels=labels[i]))
+        features[i] = x
 
-    names = [f"class{k:03d}" for k in range(c)]
-    table = ClassTable(names, labels.sum(axis=0))
-    return MultiLabelCorpus(samples, table, (t_frames, f_bins))
+    pad = len(str(n))
+    ids = [f"s{i:0{pad}d}" for i in range(n)]
+    return MultiLabelCorpus(ids, features, labels, [f"class{k:03d}" for k in range(c)])
+
+
+def write_labels(path: str | Path, ids: list[str], labels: np.ndarray,
+                 class_names: list[str]) -> None:
+    """Write a label index: one ``<sample_id>\t<class,class,...>`` line per sample."""
+    with open(path, "w") as fh:
+        for sid, row in zip(ids, labels):
+            fh.write(f"{sid}\t{','.join(class_names[k] for k in np.flatnonzero(row))}\n")
+
+
+def read_labels(path: str | Path, class_names: list[str]) -> tuple[list[str], np.ndarray]:
+    """Parse a label index into its sample ids and an (N, C) multi-hot uint8 matrix."""
+    index_of = {name: k for k, name in enumerate(class_names)}
+    ids, rows = [], []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        sid, _, tags = line.partition("\t")
+        bits = np.zeros(len(class_names), dtype=np.uint8)
+        for tag in tags.split(","):
+            tag = tag.strip()
+            if not tag:
+                continue
+            if tag not in index_of:
+                raise UnknownClassError(f"{path} line {lineno}: unknown class {tag!r}")
+            bits[index_of[tag]] = 1
+        ids.append(sid)
+        rows.append(bits)
+    return ids, np.array(rows, dtype=np.uint8).reshape(len(ids), len(class_names))
 
 
 def write_corpus(corpus: MultiLabelCorpus, path: str | Path) -> None:
     path = Path(path)
     (path / "features").mkdir(parents=True, exist_ok=True)
+    for sid in corpus.ids:
+        if not set(sid) <= _ID_SAFE:
+            raise CorpusError(f"sample id {sid!r} is not filesystem-safe")
     shape_str = " ".join(str(d) for d in corpus.feature_shape)
     lines = ["version 1", f"feature_shape {shape_str}", f"num_samples {len(corpus)}"]
-    lines += [f"class {name}" for name in corpus.class_table.names]
+    lines += [f"class {name}" for name in corpus.class_names]
     (path / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-    name_of = corpus.class_table.names
-    with open(path / "labels.txt", "w") as fh:
-        for s in corpus.samples:
-            if not set(s.id) <= _ID_SAFE:
-                raise CorpusError(f"sample id {s.id!r} is not filesystem-safe")
-            tags = ",".join(name_of[k] for k in np.flatnonzero(s.labels))
-            fh.write(f"{s.id}\t{tags}\n")
-            s.features.astype("<f4").tofile(path / "features" / f"{s.id}.f32")
+    write_labels(path / "labels.txt", corpus.ids, corpus.labels, corpus.class_names)
+    for sid, x in zip(corpus.ids, corpus.features):
+        x.astype("<f4").tofile(path / "features" / f"{sid}.f32")
 
 
-def read_corpus(path: str | Path) -> MultiLabelCorpus:
-    path = Path(path)
-    manifest = path / "manifest.txt"
+def read_manifest(path: str | Path) -> tuple[tuple[int, ...], list[str], int | None]:
+    """Feature shape, class names and declared sample count (or None) of a corpus directory."""
+    manifest = Path(path) / "manifest.txt"
     if not manifest.is_file():
         raise MalformedManifestError(f"missing manifest: {manifest}")
-
     shape: tuple[int, ...] | None = None
     declared_n: int | None = None
     names: list[str] = []
@@ -294,11 +306,12 @@ def read_corpus(path: str | Path) -> MultiLabelCorpus:
             if rest.strip() != "1":
                 raise MalformedManifestError(f"unsupported corpus version {rest!r}")
         elif key == "feature_shape":
-            try:
-                shape = tuple(int(tok) for tok in rest.split())
-            except ValueError:
+            shape = tuple(int(tok) if tok.isdecimal() else 0 for tok in rest.split())
+            if not shape or min(shape) < 1:
                 raise MalformedManifestError(f"manifest line {lineno}: bad shape {rest!r}")
         elif key == "num_samples":
+            if not rest.strip().isdecimal():
+                raise MalformedManifestError(f"manifest line {lineno}: bad sample count {rest!r}")
             declared_n = int(rest)
         elif key == "class":
             names.append(rest)
@@ -306,49 +319,34 @@ def read_corpus(path: str | Path) -> MultiLabelCorpus:
             raise MalformedManifestError(f"manifest line {lineno}: unknown key {key!r}")
     if shape is None or not names:
         raise MalformedManifestError("manifest must declare feature_shape and classes")
-    index_of = {name: k for k, name in enumerate(names)}
+    return shape, names, declared_n
 
+
+def read_corpus(path: str | Path) -> MultiLabelCorpus:
+    path = Path(path)
+    shape, names, declared_n = read_manifest(path)
     labels_file = path / "labels.txt"
     if not labels_file.is_file():
         raise MalformedManifestError(f"missing label index: {labels_file}")
-    samples = []
-    for lineno, line in enumerate(labels_file.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        sid, _, tags = line.partition("\t")
-        bits = np.zeros(len(names), dtype=np.uint8)
-        for tag in tags.split(","):
-            tag = tag.strip()
-            if not tag:
-                continue
-            if tag not in index_of:
-                raise UnknownClassError(f"labels line {lineno}: class {tag!r} not in manifest")
-            bits[index_of[tag]] = 1
-        feats = _read_payload(path / "features" / f"{sid}.f32", shape, sid)
-        samples.append(Sample(id=sid, features=feats, labels=bits))
-    if declared_n is not None and declared_n != len(samples):
+    ids, labels = read_labels(labels_file, names)
+    if declared_n is not None and declared_n != len(ids):
         raise MalformedManifestError(
-            f"manifest declares {declared_n} samples, label index has {len(samples)}"
+            f"manifest declares {declared_n} samples, label index has {len(ids)}"
         )
+    features = np.zeros((len(ids), *shape), dtype=np.float32)
+    for sid, out in zip(ids, features):
+        _read_payload(path / "features" / f"{sid}.f32", out, sid)
+    return MultiLabelCorpus(ids, features, labels, names)
 
-    table = ClassTable(names, np.stack([s.labels for s in samples]).sum(axis=0))
-    return MultiLabelCorpus(samples, table, shape)
 
-
-def _read_payload(file: Path, shape: tuple[int, ...], sid: str) -> np.ndarray:
+def _read_payload(file: Path, out: np.ndarray, sid: str) -> None:
+    """Fill the zeroed row ``out``; payloads short in time keep the zero padding."""
     if not file.is_file():
         raise ShapeMismatchError(f"sample {sid!r}: missing feature payload {file}")
-    flat = np.fromfile(file, dtype="<f4").astype(np.float64)
-    total = int(np.prod(shape))
-    if flat.size == total:
-        return flat.reshape(shape)
-    # Variable-length inputs: zero-pad along time up to the declared shape.
-    trailing = int(np.prod(shape[1:])) if len(shape) > 1 else 1
-    if flat.size > total or flat.size % trailing != 0:
+    flat = np.fromfile(file, dtype="<f4")
+    trailing = int(np.prod(out.shape[1:]))
+    if flat.size > out.size or flat.size % trailing != 0:
         raise ShapeMismatchError(
-            f"sample {sid!r}: payload has {flat.size} values, declared shape {shape}"
+            f"sample {sid!r}: payload has {flat.size} values, declared shape {out.shape}"
         )
-    out = np.zeros(shape, dtype=np.float64)
-    have = flat.size // trailing
-    out.reshape(-1, trailing)[:have] = flat.reshape(have, trailing)
-    return out
+    out.reshape(-1, trailing)[: flat.size // trailing] = flat.reshape(-1, trailing)

@@ -376,7 +376,10 @@ class ParameterVector:
             if parts[0] != "tensor" or len(parts) < 3:
                 raise CheckpointError(f"bad manifest line: {line!r}")
             manifest.append((parts[1], tuple(int(d) for d in parts[2:])))
-        payload = np.frombuffer(data[pos + len(marker) :], dtype="<f8")
+        raw = data[pos + len(marker) :]
+        if len(raw) % 8:
+            raise CheckpointError(f"{path}: payload of {len(raw)} bytes is not float64 values")
+        payload = np.frombuffer(raw, dtype="<f8")
         return cls(values=payload.astype(np.float64), manifest=tuple(manifest))
 
 
@@ -471,6 +474,14 @@ class TrainResult:
         return float(np.mean([r.map for r in tail]))
 
 
+def _gather_rows(features: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """float64 ``features[rows]``, cast row by row: no float32 batch copy to upcast after."""
+    out = np.empty((len(rows), *features.shape[1:]))
+    for r, i in enumerate(rows):
+        out[r] = features[i]
+    return out
+
+
 def _assemble_batch(
     corpus: MultiLabelCorpus,
     labels: np.ndarray,
@@ -484,7 +495,7 @@ def _assemble_batch(
     draw by draw; plan_epoch guarantees the masks fit the feature shape.
     """
     primary = plan.primary[index]
-    x = np.stack([corpus.samples[i].features for i in primary])
+    x = _gather_rows(corpus.features, primary)
     y = labels[primary].astype(np.float64)
     mix = plan.is_mixup[index]
     if mix.any():
@@ -494,7 +505,7 @@ def _assemble_batch(
         # costs a pass over memory that no longer fits in cache.
         mixed = x[mix]
         mixed *= lam[:, None, None]
-        xj = np.stack([corpus.samples[j].features for j in partner])
+        xj = _gather_rows(corpus.features, partner)
         xj *= (1.0 - lam)[:, None, None]
         mixed += xj
         x[mix] = mixed

@@ -281,3 +281,92 @@ class TestAggregateCommand:
         assert comparison["best_map"] >= comparison["avg_map"]
         rows = (tmp_path / "agg" / "comparison.csv").read_text().splitlines()
         assert rows[0] == "num_members,avg_map,best_map,ensemble_map"
+
+
+class TestRunReload:
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        import tagkit.cli as cli
+
+        calls = {"read_corpus": 0, "generate_synthetic": 0}
+        for name in calls:
+            def wrapped(*a, _name=name, _real=getattr(cli, name), **k):
+                calls[_name] += 1
+                return _real(*a, **k)
+            monkeypatch.setattr(cli, name, wrapped)
+        return calls
+
+    def test_eval_builds_only_the_eval_corpus(self, tmp_path, counted):
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
+        counted.update(read_corpus=0, generate_synthetic=0)
+        assert main(["eval", "--run", str(run_dir)]) == 0
+        assert counted == {"read_corpus": 0, "generate_synthetic": 1}
+
+    def test_aggregate_builds_the_eval_corpus_once(self, tmp_path, counted):
+        dirs = [run_train(tiny_config(tmp_path / f"m{s}", seed=s, epochs=1)) for s in range(2)]
+        manifest = tmp_path / "committee.txt"
+        manifest.write_text("\n".join(str(d) for d in dirs) + "\n")
+        counted.update(read_corpus=0, generate_synthetic=0)
+        run_aggregate(manifest, tmp_path / "agg")
+        assert counted == {"read_corpus": 0, "generate_synthetic": 1}
+
+        corpus_dir = tmp_path / "evalc"
+        assert main(["synth", "--classes", "4", "--samples", "32", "--time-frames", "16",
+                     "--freq-bins", "8", "--out", str(corpus_dir)]) == 0
+        counted.update(read_corpus=0, generate_synthetic=0)
+        run_aggregate(manifest, tmp_path / "agg2", eval_corpus_path=corpus_dir)
+        assert counted == {"read_corpus": 1, "generate_synthetic": 0}
+
+
+class TestBadInputExitCodes:
+    def assert_config_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_truncated_checkpoint_payload(self, tmp_path, capsys):
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
+        ckpt = run_dir / "checkpoints" / "epoch_001.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-3])
+        self.assert_config_error(["eval", "--run", str(run_dir), "--checkpoint", "epoch_001"],
+                                 capsys)
+
+    def test_non_numeric_manifest_sample_count(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "c"
+        assert main(["synth", "--classes", "3", "--samples", "12", "--time-frames", "8",
+                     "--freq-bins", "4", "--out", str(corpus_dir)]) == 0
+        manifest = corpus_dir / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("num_samples 12", "num_samples abc"))
+        capsys.readouterr()
+        self.assert_config_error(["coverage", "--corpus", str(corpus_dir),
+                                  "--out", str(tmp_path / "cov.csv")], capsys)
+
+    def test_corrupt_run_config(self, tmp_path, capsys):
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
+        (run_dir / "config.json").write_text('{"seed": ')
+        self.assert_config_error(["eval", "--run", str(run_dir)], capsys)
+
+    def test_weight_avg_start_must_be_a_positive_integer(self, tmp_path, capsys):
+        config = tiny_config(tmp_path / "run", epochs=1)
+        config_file = tmp_path / "c.json"
+        for bad in (0, -1, 1.5, True, "2"):
+            config_file.write_text(json.dumps({**config, "weight_avg_start": bad}))
+            self.assert_config_error(["train", "--config", str(config_file)], capsys)
+        config_file.write_text(json.dumps({**config, "weight_avg_start": 1}))
+        assert main(["train", "--config", str(config_file)]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["weight_avg_start"] == 1
+
+
+def test_class_csv_counts_are_training_class_counts(tmp_path):
+    from tagkit.cli import build_corpora
+
+    config = tiny_config(tmp_path / "run", epochs=2)
+    run_dir = run_train(config)
+    counts = build_corpora(config)[0].class_table.counts.tolist()
+    assert min(counts) > 0
+    for epoch in (1, 2):
+        rows = (run_dir / "eval" / f"epoch_{epoch:03d}.csv").read_text().splitlines()
+        assert rows[0] == "class,ap,auc,count"
+        assert [int(r.split(",")[3]) for r in rows[1:]] == counts

@@ -4,43 +4,36 @@ import numpy as np
 import pytest
 
 from tagkit.corpus import (
-    ClassTable,
     CorpusError,
     MalformedManifestError,
     MultiLabelCorpus,
-    Sample,
     ShapeMismatchError,
     SynthSpec,
     UnknownClassError,
-    count_classes,
+    _plan_counts,
     generate_synthetic,
     read_corpus,
     write_corpus,
 )
+from tagkit.rng import stream
 
 
 def tiny_corpus():
-    table = ClassTable(["A", "B"], [2, 2])
     shape = (4, 3)
-    samples = [
-        Sample("a", np.ones(shape), [1, 0]),
-        Sample("b", np.full(shape, 2.0), [1, 1]),
-        Sample("c", np.zeros(shape) + 0.5, [0, 1]),
-    ]
-    return MultiLabelCorpus(samples, table, shape)
+    features = np.stack([np.ones(shape), np.full(shape, 2.0), np.zeros(shape) + 0.5])
+    return MultiLabelCorpus(["a", "b", "c"], features, [[1, 0], [1, 1], [0, 1]], ["A", "B"])
 
 
 class TestCountClasses:
     def test_direct_tally(self):
-        counts = count_classes(tiny_corpus()).counts
-        assert counts.tolist() == [2, 2]
+        corpus = tiny_corpus()
+        assert corpus.class_table.counts.tolist() == [2, 2]
+        assert corpus.feature_shape == (4, 3)
 
     def test_saturated_labels(self):
-        shape = (2, 2)
-        table = ClassTable(["A", "B", "C"], [4, 4, 4])
-        samples = [Sample(f"s{i}", np.zeros(shape), [1, 1, 1]) for i in range(4)]
-        corpus = MultiLabelCorpus(samples, table, shape)
-        assert count_classes(corpus).counts.tolist() == [4, 4, 4]
+        corpus = MultiLabelCorpus([f"s{i}" for i in range(4)], np.zeros((4, 2, 2)),
+                                  np.ones((4, 3)), ["A", "B", "C"])
+        assert corpus.class_table.counts.tolist() == [4, 4, 4]
 
     def test_synthetic_counts_match_independent_tally(self):
         corpus = generate_synthetic(
@@ -48,18 +41,17 @@ class TestCountClasses:
                       feature_shape=(8, 4))
         )
         tally = np.zeros(6, dtype=int)
-        for s in corpus.samples:
-            for k, bit in enumerate(s.labels):
+        for row in corpus.labels:
+            for k, bit in enumerate(row):
                 tally[k] += int(bit)
-        assert count_classes(corpus).counts.tolist() == tally.tolist()
         assert corpus.class_table.counts.tolist() == tally.tolist()
 
     def test_label_bit_conservation(self):
         corpus = generate_synthetic(
             SynthSpec(num_classes=5, num_samples=100, seed=3, feature_shape=(8, 4))
         )
-        total_bits = sum(int(s.labels.sum()) for s in corpus.samples)
-        assert int(count_classes(corpus).counts.sum()) == total_bits
+        total_bits = sum(int(bit) for row in corpus.labels for bit in row)
+        assert int(corpus.class_table.counts.sum()) == total_bits
         assert total_bits >= len(corpus)
 
 
@@ -68,10 +60,9 @@ class TestGenerateSynthetic:
         spec = SynthSpec(num_classes=10, num_samples=1000, imbalance_ratio=100, seed=1,
                          feature_shape=(16, 8))
         a, b = generate_synthetic(spec), generate_synthetic(spec)
-        assert [s.id for s in a.samples] == [s.id for s in b.samples]
-        for sa, sb in zip(a.samples, b.samples):
-            assert sa.features.tobytes() == sb.features.tobytes()
-            assert sa.labels.tobytes() == sb.labels.tobytes()
+        assert a.ids == b.ids
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_balanced_degenerate_case(self):
         corpus = generate_synthetic(
@@ -117,8 +108,8 @@ class TestGenerateSynthetic:
         other = generate_synthetic(SynthSpec(seed=2, pattern_seed=10, **base))
 
         def mean_profile(corpus, k):
-            rows = [s.features.mean(axis=0) for s in corpus.samples
-                    if s.labels[k] and s.labels.sum() == 1]
+            rows = [x.mean(axis=0) for x, y in zip(corpus.features, corpus.labels)
+                    if y[k] and y.sum() == 1]
             v = np.mean(rows, axis=0)
             return v / np.linalg.norm(v)
 
@@ -149,10 +140,10 @@ class TestDiskFormat:
         assert back.feature_shape == corpus.feature_shape
         assert back.class_table.names == corpus.class_table.names
         assert back.class_table.counts.tolist() == corpus.class_table.counts.tolist()
-        for sa, sb in zip(corpus.samples, back.samples):
-            assert sa.id == sb.id
-            assert np.array_equal(sa.features, sb.features)
-            assert np.array_equal(sa.labels, sb.labels)
+        assert back.ids == corpus.ids
+        assert back.features.dtype == corpus.features.dtype == np.float32
+        assert back.features.tobytes() == corpus.features.tobytes()
+        assert back.labels.tobytes() == corpus.labels.tobytes()
 
     def test_unknown_class_in_labels(self, tmp_path):
         corpus = tiny_corpus()
@@ -175,7 +166,7 @@ class TestDiskFormat:
         write_corpus(corpus, tmp_path / "c")
         np.ones(2 * 3, dtype="<f4").tofile(tmp_path / "c" / "features" / "a.f32")
         back = read_corpus(tmp_path / "c")
-        feats = back.samples[0].features
+        feats = back.features[0]
         assert feats.shape == (4, 3)
         assert np.array_equal(feats[:2], np.ones((2, 3)))
         assert np.array_equal(feats[2:], np.zeros((2, 3)))
@@ -184,9 +175,11 @@ class TestDiskFormat:
         corpus = tiny_corpus()
         write_corpus(corpus, tmp_path / "c")
         manifest = tmp_path / "c" / "manifest.txt"
-        manifest.write_text(manifest.read_text() + "bogus_key 1\n")
-        with pytest.raises(MalformedManifestError):
-            read_corpus(tmp_path / "c")
+        good = manifest.read_text()
+        for line in ("bogus_key 1", "num_samples abc", "feature_shape 4 0"):
+            manifest.write_text(good + line + "\n")
+            with pytest.raises(MalformedManifestError):
+                read_corpus(tmp_path / "c")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MalformedManifestError):
@@ -194,24 +187,72 @@ class TestDiskFormat:
 
 
 class TestInvariants:
-    def test_recount_is_idempotent(self):
-        corpus = generate_synthetic(
-            SynthSpec(num_classes=5, num_samples=60, seed=9, feature_shape=(8, 4))
-        )
-        once = count_classes(corpus)
-        twice = count_classes(MultiLabelCorpus(corpus.samples, once, corpus.feature_shape))
-        assert once.counts.tolist() == twice.counts.tolist()
-
     def test_sample_requires_a_label(self):
-        with pytest.raises(CorpusError):
-            Sample("x", np.zeros((2, 2)), [0, 0])
+        with pytest.raises(CorpusError, match="'y' has no labels"):
+            MultiLabelCorpus(["x", "y"], np.zeros((2, 2, 2)), [[1, 0], [0, 0]], ["A", "B"])
 
     def test_sample_rejects_non_finite_features(self):
-        with pytest.raises(CorpusError):
-            Sample("x", np.array([[np.nan, 0.0]]), [1])
+        for bad in (np.nan, np.inf, -np.inf):
+            features = np.zeros((3, 1, 2))
+            features[1, 0, 1] = bad
+            with pytest.raises(CorpusError, match="'y' has non-finite"):
+                MultiLabelCorpus(["x", "y", "z"], features, [[1], [1], [1]], ["A"])
 
-    def test_corpus_rejects_shape_drift(self):
-        table = ClassTable(["A"], [2])
-        samples = [Sample("a", np.zeros((2, 2)), [1]), Sample("b", np.zeros((3, 2)), [1])]
+    def test_shapes_must_agree(self):
         with pytest.raises(ShapeMismatchError):
-            MultiLabelCorpus(samples, table, (2, 2))
+            MultiLabelCorpus(["a", "b"], np.zeros((3, 2, 2)), [[1], [1]], ["A"])
+        with pytest.raises(ShapeMismatchError):
+            MultiLabelCorpus(["a", "b"], np.zeros((2, 2, 2)), [[1, 1], [1, 1]], ["A"])
+
+    def test_with_labels_shares_features(self):
+        corpus = tiny_corpus()
+        swapped = corpus.with_labels([[0, 1], [0, 1], [1, 1]])
+        assert swapped.features is corpus.features
+        assert swapped.class_table.counts.tolist() == [1, 3]
+        assert corpus.class_table.counts.tolist() == [2, 2]
+        with pytest.raises(CorpusError):
+            corpus.with_labels(np.ones((2, 2)))
+
+
+def per_sample_features(spec):
+    """Reference synthesis: each sample drawn in float64, then rounded through float32."""
+    c, n = spec.num_classes, spec.num_samples
+    t_frames, f_bins = spec.feature_shape
+    rng = stream(spec.seed, "synth")
+    tail, head_primary, head_adds = _plan_counts(spec)
+    primaries = np.concatenate(
+        [np.zeros(head_primary, dtype=np.int64)]
+        + [np.full(tail[k - 1], k, dtype=np.int64) for k in range(1, c)]
+    )
+    rng.shuffle(primaries)
+    labels = np.zeros((n, c), dtype=np.uint8)
+    labels[np.arange(n), primaries] = 1
+    non_head = np.flatnonzero(primaries != 0)
+    if head_adds > 0 and len(non_head) > 0:
+        labels[rng.choice(non_head, size=min(head_adds, len(non_head)), replace=False), 0] = 1
+    signatures = stream(spec.seed, "synth-patterns").standard_normal((c, f_bins))
+    signatures /= np.linalg.norm(signatures, axis=1, keepdims=True)
+    window = max(1, t_frames // 2)
+    out = []
+    for i in range(n):
+        x = rng.standard_normal((t_frames, f_bins))
+        for k in np.flatnonzero(labels[i]):
+            start = int(rng.integers(0, t_frames - window + 1))
+            x[start : start + window, :] += spec.planted_signal_strength * signatures[k]
+        out.append(x.astype(np.float32).astype(np.float64))
+    return np.stack(out), labels
+
+
+class TestFeatureTensor:
+    def test_float64_upcast_of_the_stored_float32_draws(self, tmp_path):
+        spec = SynthSpec(num_classes=3, num_samples=40, imbalance_ratio=4, seed=5,
+                         cooccurrence=0.5, feature_shape=(6, 4))
+        want, labels = per_sample_features(spec)
+        corpus = generate_synthetic(spec)
+        assert corpus.features.dtype == np.float32
+        assert corpus.label_matrix().tobytes() == labels.tobytes()
+        got = corpus.feature_tensor()
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        write_corpus(corpus, tmp_path / "c")
+        back = read_corpus(tmp_path / "c").feature_tensor()
+        assert back.dtype == np.float64 and back.tobytes() == want.tobytes()

@@ -396,11 +396,11 @@ def per_sample_batch(corpus, labels, plan, index, mask_value):
     xs, ys = [], []
     for n in index:
         i = int(plan.primary[n])
-        x = corpus.samples[i].features
+        x = corpus.features[i].astype(np.float64)
         y = labels[i].astype(np.float64)
         if plan.is_mixup[n]:
             j = int(plan.partner[n])
-            x, y = mixup(x, y, corpus.samples[j].features, labels[j].astype(np.float64),
+            x, y = mixup(x, y, corpus.features[j], labels[j].astype(np.float64),
                          float(plan.mix_lambda[n]))
         mask = MaskParams(freq_off=int(plan.freq_off[n]), freq_len=int(plan.freq_len[n]),
                           time_off=int(plan.time_off[n]), time_len=int(plan.time_len[n]))
@@ -418,7 +418,7 @@ class TestAssembleBatch:
                                               seed=34, feature_shape=(16, 8)))
         labels = corpus.label_matrix()
         t_frames, f_bins = corpus.feature_shape
-        plan = plan_epoch(np.ones(len(corpus.samples)),
+        plan = plan_epoch(np.ones(len(corpus)),
                           AugmentConfig(freq_mask_max=f_bins, time_mask_max=t_frames,
                                         mixup_rate=mixup_rate),
                           corpus.feature_shape, 35)
