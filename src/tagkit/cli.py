@@ -17,14 +17,14 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import aggregate as agg
 from .corpus import (CorpusError, MultiLabelCorpus, SynthSpec, generate_synthetic, read_corpus,
-                     read_labels, read_manifest, write_labels)
+                     read_labels, read_manifest, write_corpus, write_labels)
 from .labelfix import (
     MODES,
     POLICIES,
@@ -67,36 +67,25 @@ class ConfigError(Exception):
 # -- config ----------------------------------------------------------------
 
 
+# The dataclass fields each section owns: their defaults are the section's
+# defaults, and each value must have its default's JSON type.
+SECTIONS = {
+    "model": [f for f in fields(ModelConfig)
+              if f.name in ("variant", "num_heads", "embed_dim", "hidden_dim", "time_strides")],
+    "augment": list(fields(AugmentConfig)),
+    "train": [f for f in fields(TrainConfig)
+              if f.name in ("epochs", "batch_size", "report_last_k")] + list(fields(LRSchedule)),
+}
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               list: "a list of two integers"}
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "output_dir": "run",
     "corpus": None,  # {"path": ..., "labels": optional override} or {"synth": {...}}
     "eval_corpus": None,
-    "model": {
-        "variant": "attention",
-        "num_heads": 4,
-        "embed_dim": 64,
-        "hidden_dim": 32,
-        "time_strides": [8, 4],
-    },
-    "augment": {
-        "freq_mask_max": 48,
-        "time_mask_max": 192,
-        "mixup_rate": 0.5,
-        "mixup_alpha": 10.0,
-        "balanced": True,
-        "mask_value": 0.0,
-    },
-    "train": {
-        "epochs": 10,
-        "batch_size": 100,
-        "base_lr": 1e-3,
-        "warmup_iters": 1000,
-        "decay_start_epoch": 35,
-        "decay_period": 5,
-        "decay_factor": 0.5,
-        "report_last_k": 5,
-    },
+    **{name: {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+              for f in section} for name, section in SECTIONS.items()},
     "init_path": None,
     "weight_avg_start": None,  # null = first epoch with lr <= base/4
     # optional pre-training label repair: needs a finished teacher run + ontology
@@ -115,11 +104,15 @@ def load_config(path: str | Path) -> dict:
 
 
 def merge_config(raw: dict, source: str = "<dict>") -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{source}: a config must be a JSON object")
     config = copy.deepcopy(DEFAULT_CONFIG)
     for key, value in raw.items():
         if key not in config:
             raise ConfigError(f"{source}: unknown config key {key!r}")
-        if isinstance(config[key], dict) and isinstance(value, dict):
+        if key in SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{source}: {key} must be a JSON object")
             for sub, subval in value.items():
                 if sub not in config[key]:
                     raise ConfigError(f"{source}: unknown config key {key}.{sub}")
@@ -130,7 +123,14 @@ def merge_config(raw: dict, source: str = "<dict>") -> dict:
     return config
 
 
+def _has_json_type(value, default) -> bool:
+    if isinstance(default, list):
+        return type(value) is list and len(value) == 2 and all(type(v) is int for v in value)
+    return type(value) in ((int, float) if type(default) is float else (type(default),))
+
+
 def validate_config(config: dict, source: str = "<dict>") -> None:
+    """Structural checks first, then the dataclasses' own checks on the corpus header shape."""
     if config["corpus"] is None:
         raise ConfigError(f"{source}: corpus is required")
     for field in ("corpus", "eval_corpus"):
@@ -145,11 +145,11 @@ def validate_config(config: dict, source: str = "<dict>") -> None:
             raise ConfigError(f"{source}: {field}.labels does not exist: {spec['labels']}")
     if config["init_path"] is not None and not Path(config["init_path"]).exists():
         raise ConfigError(f"{source}: init_path does not exist: {config['init_path']}")
+    if type(config["seed"]) is not int or config["seed"] < 0:
+        raise ConfigError(f"{source}: seed must be an integer >= 0")
     start = config["weight_avg_start"]
     if start is not None and (type(start) is not int or start < 1):
         raise ConfigError(f"{source}: weight_avg_start must be null or an integer >= 1")
-    if config["model"]["variant"] not in ("attention", "linear"):
-        raise ConfigError(f"{source}: model.variant must be 'attention' or 'linear'")
     enh = config["enhance"]
     if enh is not None:
         if not isinstance(enh, dict) or "ontology" not in enh:
@@ -166,6 +166,15 @@ def validate_config(config: dict, source: str = "<dict>") -> None:
             raise ConfigError(f"{source}: enhance.policy must be one of {POLICIES}")
         if enh.get("mode", "both") not in MODES:
             raise ConfigError(f"{source}: enhance.mode must be one of {MODES}")
+    for name in SECTIONS:
+        for key, default in DEFAULT_CONFIG[name].items():
+            if not _has_json_type(config[name][key], default):
+                raise ConfigError(f"{source}: {name}.{key} must be {_JSON_TYPES[type(default)]}")
+    if config["eval_corpus"] is not None and "synth" in config["eval_corpus"]:
+        _synth_spec(config["eval_corpus"]["synth"])  # build_model_config checks the train spec
+    model_config = build_model_config(config)
+    build_augment_config(config).validate((model_config.time_frames, model_config.freq_bins))
+    build_train_config(config)
 
 
 def config_hash(config: dict) -> str:
@@ -186,13 +195,13 @@ def _load_labels_override(corpus: MultiLabelCorpus, labels_path: str) -> MultiLa
 
 
 def _synth_spec(synth: dict, **defaults) -> SynthSpec:
-    fields = {**defaults, **synth}
-    if "feature_shape" in fields:
-        fields["feature_shape"] = tuple(fields["feature_shape"])
     try:
-        return SynthSpec(**fields)
+        spec = SynthSpec(**{**defaults, **synth})
+        spec = replace(spec, feature_shape=tuple(spec.feature_shape))
+        spec.validate()
     except TypeError as err:
         raise ConfigError(f"bad synth spec: {err}")
+    return spec
 
 
 def _build_one_corpus(
@@ -214,13 +223,13 @@ def _build_one_corpus(
 
 def build_corpora(config: dict) -> tuple[MultiLabelCorpus, MultiLabelCorpus | None]:
     """Train and eval corpora."""
-    corpus = _build_one_corpus(config["corpus"], int(config["seed"]), "synth")
+    corpus = _build_one_corpus(config["corpus"], config["seed"], "synth")
     return corpus, build_eval_corpus(config)
 
 
 def build_eval_corpus(config: dict) -> MultiLabelCorpus | None:
     """The eval corpus alone; a synthetic eval split inherits the train patterns."""
-    seed = int(config["seed"])
+    seed = config["seed"]
     pattern_seed = None
     if "synth" in config["corpus"]:
         synth = config["corpus"]["synth"]
@@ -242,46 +251,19 @@ def build_model_config(config: dict) -> ModelConfig:
     if len(shape) != 2:
         raise ConfigError(f"the model needs (time, freq) features, corpus shape is {shape}")
     m = config["model"]
-    return ModelConfig(
-        num_classes=num_classes,
-        time_frames=shape[0],
-        freq_bins=shape[1],
-        variant=m["variant"],
-        num_heads=int(m["num_heads"]),
-        embed_dim=int(m["embed_dim"]),
-        hidden_dim=int(m["hidden_dim"]),
-        time_strides=tuple(m["time_strides"]),
-    )
+    return ModelConfig(num_classes=num_classes, time_frames=shape[0], freq_bins=shape[1],
+                       **{**m, "time_strides": tuple(m["time_strides"])})
 
 
 def build_augment_config(config: dict) -> AugmentConfig:
-    a = config["augment"]
-    return AugmentConfig(
-        freq_mask_max=int(a["freq_mask_max"]),
-        time_mask_max=int(a["time_mask_max"]),
-        mixup_rate=float(a["mixup_rate"]),
-        mixup_alpha=float(a["mixup_alpha"]),
-        balanced=bool(a["balanced"]),
-        mask_value=float(a["mask_value"]),
-    )
+    return AugmentConfig(**config["augment"])
 
 
 def build_train_config(config: dict) -> TrainConfig:
     t = config["train"]
-    schedule = LRSchedule(
-        base_lr=float(t["base_lr"]),
-        warmup_iters=int(t["warmup_iters"]),
-        decay_start_epoch=int(t["decay_start_epoch"]),
-        decay_period=int(t["decay_period"]),
-        decay_factor=float(t["decay_factor"]),
-    )
-    return TrainConfig(
-        epochs=int(t["epochs"]),
-        batch_size=int(t["batch_size"]),
-        schedule=schedule,
-        seed=int(config["seed"]),
-        report_last_k=int(t["report_last_k"]),
-    )
+    schedule = LRSchedule(**{f.name: t[f.name] for f in fields(LRSchedule)})
+    return TrainConfig(epochs=t["epochs"], batch_size=t["batch_size"],
+                       report_last_k=t["report_last_k"], schedule=schedule, seed=config["seed"])
 
 
 # -- run directory workflow --------------------------------------------------
@@ -308,17 +290,16 @@ class RunLock:
 
 
 def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
-    """Execute one training run and populate its self-describing directory."""
+    """Execute one training run; config.json is written once the config and corpora load."""
+    validate_config(config)
     run_dir = Path(run_dir if run_dir is not None else config["output_dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     with RunLock(run_dir):
-        snapshot = json.dumps(config, indent=2, sort_keys=True)
-        (run_dir / "config.json").write_text(snapshot + "\n")
-
-        seed = int(config["seed"])
         corpus, eval_corpus = build_corpora(config)
         if config["enhance"] is not None:
             corpus = _apply_enhancement(config["enhance"], corpus, run_dir)
+        snapshot = json.dumps(config, indent=2, sort_keys=True)
+        (run_dir / "config.json").write_text(snapshot + "\n")
         model_config = build_model_config(config)
         augment_config = build_augment_config(config)
         train_config = build_train_config(config)
@@ -326,7 +307,7 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
         init_model = None
         if config["init_path"]:
             init_model, loaded, reinit = load_external_init(
-                model_config, config["init_path"], stream(seed, "init")
+                model_config, config["init_path"], stream(config["seed"], "init")
             )
             (run_dir / "init_report.json").write_text(
                 json.dumps({"loaded": loaded, "reinitialized": reinit}, indent=2) + "\n"
@@ -363,7 +344,7 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
             "per_epoch_map": [r.map for r in result.eval_reports],
         }
         if eval_corpus is not None:
-            eval_feats = eval_corpus.feature_tensor()
+            eval_feats = eval_corpus.features
             eval_labels = eval_corpus.label_matrix()
 
             start = config["weight_avg_start"]
@@ -401,7 +382,7 @@ def _apply_enhancement(enh: dict, corpus: MultiLabelCorpus, run_dir: Path) -> Mu
     teacher = Model.from_vector(teacher_config, _teacher_checkpoint(teacher_run))
     onto = read_ontology(enh["ontology"], corpus.class_names)
     labels = corpus.label_matrix()
-    scores = teacher.predict(corpus.feature_tensor())
+    scores = teacher.predict(corpus.features)
     thresholds = make_thresholds(scores, labels, enh.get("policy", "mean"))
     enhanced, audit = enhance(labels, scores, onto, thresholds,
                               mode=enh.get("mode", "both"), strict=False)
@@ -411,9 +392,9 @@ def _apply_enhancement(enh: dict, corpus: MultiLabelCorpus, run_dir: Path) -> Mu
 
 def _headline_for_variant(summary: dict, removed: set[str]) -> float:
     """Ensemble mAP unless ensembling is ablated, then weight-avg, then last-k mean."""
-    if "ensemble" not in removed and "ensemble_map" in summary:
+    if "ensemble" not in removed:
         return summary["ensemble_map"]
-    if "weight-avg" not in removed and "weight_avg_map" in summary:
+    if "weight-avg" not in removed:
         return summary["weight_avg_map"]
     return summary["headline_map"]
 
@@ -446,6 +427,8 @@ def run_ablation(
     for toggle in toggles:
         if toggle not in ABLATION_TOGGLES:
             raise ConfigError(f"toggle {toggle!r} not in {ABLATION_TOGGLES}")
+    if config["eval_corpus"] is None:
+        raise ConfigError("ablate needs an eval_corpus: the variants are compared on its mAP")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     variants = [("full", set())] + [(f"no-{t}", {t}) for t in toggles]
@@ -457,7 +440,7 @@ def run_ablation(
         headlines, last5, wa, ens = [], [], [], []
         for s in range(num_seeds):
             run_config = copy.deepcopy(variant_config)
-            run_config["seed"] = int(config["seed"]) + s
+            run_config["seed"] = config["seed"] + s
             run_path = out_dir / name / f"seed_{run_config['seed']}"
             run_config["output_dir"] = str(run_path)
             run_train(run_config)
@@ -490,7 +473,10 @@ def _load_run(run_dir: Path) -> tuple[dict, ModelConfig]:
     config = load_config(config_file)
     summary_file = run_dir / "summary.json"
     if summary_file.is_file():
-        recorded = json.loads(summary_file.read_text()).get("config_hash")
+        try:
+            recorded = json.loads(summary_file.read_text()).get("config_hash")
+        except (json.JSONDecodeError, AttributeError):  # not JSON, or not a JSON object
+            raise ConfigError(f"corrupt run summary: {summary_file}")
         if recorded and recorded != config_hash(config):
             print(
                 f"warning: config snapshot in {run_dir} was mutated after the run; "
@@ -534,7 +520,10 @@ def run_enhance(
     onto = read_ontology(ontology_path, corpus.class_names)
 
     train_labels = corpus.label_matrix()
-    train_scores = teacher.predict(corpus.feature_tensor())
+    train_scores = teacher.predict(corpus.features)
+    if eval_corpus is not None:
+        eval_labels = eval_corpus.label_matrix()
+        eval_scores = teacher.predict(eval_corpus.features)
     results = {}
     for policy in policies:
         thresholds = make_thresholds(train_scores, train_labels, policy)
@@ -549,8 +538,6 @@ def run_enhance(
             "train_impacted_classes": len(audit.impacted_classes),
         }
         if eval_corpus is not None:
-            eval_labels = eval_corpus.label_matrix()
-            eval_scores = teacher.predict(eval_corpus.feature_tensor())
             enhanced_eval, eval_audit = enhance_eval_set(
                 eval_labels, eval_scores, onto, thresholds, mode=mode, strict=strict
             )
@@ -588,7 +575,7 @@ def run_aggregate(
         eval_corpus = build_eval_corpus(loaded[0][0])
     if eval_corpus is None:
         raise ConfigError("no eval corpus: pass one or configure it in the first run")
-    eval_feats = eval_corpus.feature_tensor()
+    eval_feats = eval_corpus.features
     eval_labels = eval_corpus.label_matrix()
 
     members, tags = [], []
@@ -703,8 +690,6 @@ def _cmd_synth(args) -> int:
         feature_shape=(args.time_frames, args.freq_bins),
         planted_signal_strength=args.signal_strength,
     )
-    from .corpus import write_corpus
-
     corpus = generate_synthetic(spec)
     write_corpus(corpus, args.out)
     print(f"wrote {len(corpus)} samples, {corpus.num_classes} classes to {args.out}")
@@ -740,7 +725,7 @@ def _cmd_eval(args) -> int:
     else:
         vec = _teacher_checkpoint(run_dir)
     model = Model.from_vector(model_config, vec)
-    report = evaluate(model.predict(eval_corpus.feature_tensor()), eval_corpus.label_matrix())
+    report = evaluate(model.predict(eval_corpus.features), eval_corpus.label_matrix())
     if args.out:
         report.write_json(args.out)
     print(f"mAP {report.map:.4f}  mean AUC {report.mean_auc:.4f}  d' {report.dprime:.3f}")
@@ -786,8 +771,8 @@ def _cmd_coverage(args) -> int:
     weights = make_weights(corpus.class_table, labels)
     t_frames, f_bins = corpus.feature_shape
     config = AugmentConfig(
-        freq_mask_max=min(48, f_bins),
-        time_mask_max=min(192, t_frames),
+        freq_mask_max=min(AugmentConfig.freq_mask_max, f_bins),
+        time_mask_max=min(AugmentConfig.time_mask_max, t_frames),
         mixup_rate=args.mixup_rate,
         balanced=not args.plain,
     )

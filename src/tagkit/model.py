@@ -62,8 +62,8 @@ class ModelConfig:
         if self.variant not in ("attention", "linear"):
             raise ModelError(f"unknown variant {self.variant!r}")
         if self.variant == "attention":
-            if self.num_heads < 1:
-                raise ModelError("num_heads must be >= 1")
+            if min(self.num_heads, self.embed_dim, self.hidden_dim) < 1:
+                raise ModelError("num_heads, embed_dim and hidden_dim must be >= 1")
             s1, s2 = self.time_strides
             if s1 < 1 or s2 < 1 or self.time_frames % (s1 * s2) != 0:
                 raise ModelError(
@@ -425,6 +425,10 @@ class LRSchedule:
     decay_period: int = 5
     decay_factor: float = 0.5
 
+    def __post_init__(self):
+        if self.decay_period < 1:
+            raise ModelError("decay_period must be >= 1")
+
     def lr(self, iteration: int, epoch: int) -> float:
         """Learning rate at a 1-based global iteration within a 1-based epoch."""
         warm = min(1.0, iteration / self.warmup_iters) if self.warmup_iters > 0 else 1.0
@@ -542,7 +546,7 @@ def train(
     sched = train_config.schedule
     b1, b2, eps = train_config.adam_beta1, train_config.adam_beta2, train_config.adam_eps
 
-    eval_feats = eval_corpus.feature_tensor() if eval_corpus is not None else None
+    eval_feats = eval_corpus.features if eval_corpus is not None else None
     eval_labels = eval_corpus.label_matrix() if eval_corpus is not None else None
 
     checkpoints: list[ParameterVector] = []

@@ -72,28 +72,25 @@ class Ontology:
             raise CycleError(self._find_cycle())
 
     def _find_cycle(self) -> list[int]:
-        state = [0] * self.num_classes  # 0 unvisited, 1 on stack, 2 done
-        stack: list[int] = []
-
-        def dfs(k: int) -> list[int] | None:
-            state[k] = 1
-            stack.append(k)
-            for c in self.children[k]:
-                if state[c] == 1:
-                    return stack[stack.index(c) :] + [c]
-                if state[c] == 0:
-                    found = dfs(c)
-                    if found:
-                        return found
-            stack.pop()
-            state[k] = 2
-            return None
-
-        for k in range(self.num_classes):
-            if state[k] == 0:
-                found = dfs(k)
-                if found:
-                    return found
+        """First cycle of a depth-first search in class order, on an explicit stack."""
+        state = [0] * self.num_classes  # 0 unvisited, 1 on path, 2 done
+        for root in range(self.num_classes):
+            if state[root]:
+                continue
+            state[root] = 1
+            path, pending = [root], [iter(self.children[root])]
+            while path:
+                for c in pending[-1]:
+                    if state[c] == 1:
+                        return path[path.index(c) :] + [c]
+                    if state[c] == 0:
+                        state[c] = 1
+                        path.append(c)
+                        pending.append(iter(self.children[c]))
+                        break
+                else:
+                    state[path.pop()] = 2
+                    pending.pop()
         raise AssertionError("cycle reported but none found")
 
 

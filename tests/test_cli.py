@@ -1,11 +1,17 @@
 """End-to-end CLI pipelines on tiny synthetic corpora."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagkit.cli import (
+    DEFAULT_CONFIG,
+    SECTIONS,
     ConfigError,
     apply_toggle,
     config_hash,
@@ -17,6 +23,8 @@ from tagkit.cli import (
     run_train,
 )
 from tagkit.corpus import read_corpus
+from tagkit.model import Model
+from tagkit.sampler import SamplerError
 from tagkit.ontology import write_ontology, Ontology
 
 
@@ -64,6 +72,98 @@ class TestConfig:
         bad.write_text('{"seed": }')
         with pytest.raises(ConfigError, match="line"):
             load_config(bad)
+
+    def test_default_config_hash_is_pinned(self):
+        config = merge_config({"seed": 1, "corpus": {"synth": {"num_classes": 2,
+                                                                "num_samples": 4}}})
+        assert config_hash(config) == (
+            "46d4b53bf87cae52b9be43eff7b21dcccb541df17a23f1c64a658c13314c4aad")
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            merge_config([1, 2])
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="train must be a JSON object"):
+            merge_config({"train": None, "corpus": {"synth": {"num_classes": 2,
+                                                               "num_samples": 4}}})
+
+
+def _wrongly_typed(value, default) -> bool:
+    """Oracle: the section value does not have its default's JSON type."""
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if isinstance(default, bool):
+        return not isinstance(value, bool)
+    if isinstance(default, int):
+        return not is_int(value)
+    if isinstance(default, float):
+        return not (is_int(value) or isinstance(value, float))
+    if isinstance(default, str):
+        return not isinstance(value, str)
+    return not (isinstance(value, list) and len(value) == 2 and all(map(is_int, value)))
+
+
+SECTION_KEYS = [(name, key) for name in SECTIONS for key in DEFAULT_CONFIG[name]]
+JSON_VALUES = st.one_of(
+    st.sampled_from(["2", "false", "x", 2.0, 0.5, True, False, None, [8, 4], [8], [2.0, 2], {}]),
+    st.integers(-3, 300), st.floats(-10, 10), st.text(max_size=4),
+    st.lists(st.integers(0, 9), max_size=3), st.dictionaries(st.text(max_size=2), st.integers(),
+                                                             max_size=2),
+)
+
+
+def _train_exit(config: dict, work) -> tuple[int, str]:
+    config_file = work / "c.json"
+    config_file.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["train", "--config", str(config_file), "--out", str(work / "run")])
+    return code, err.getvalue()
+
+
+@given(st.sampled_from(SECTION_KEYS), st.data())
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_wrongly_typed_section_value_is_rejected_before_writing(tmp_path_factory, where, data):
+    name, key = where
+    default = DEFAULT_CONFIG[name][key]
+    value = data.draw(JSON_VALUES.filter(lambda v: _wrongly_typed(v, default)))
+    work = tmp_path_factory.mktemp("bad")
+    config = tiny_config(work / "run")
+    config[name] = {**config[name], key: value}
+    code, err = _train_exit(config, work)
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"{name}.{key}" in err and "Traceback" not in err
+    assert not (work / "run" / "config.json").exists()
+
+
+@pytest.mark.parametrize("section,patch", [
+    ("train", {"epochs": "2"}), ("train", {"epochs": 2.0}), ("train", {"epochs": 0}),
+    ("augment", {"balanced": "false"}), ("augment", {"mixup_rate": 2}),
+    ("augment", {"mixup_rate": True}), ("model", {"num_heads": True}),
+    ("augment", {"mask_value": "a"}), ("model", {"num_heads": 0}),
+    ("model", {"variant": "conv"}), ("model", {"time_strides": [3, 2]}),
+    ("model", {"embed_dim": 0}), ("train", {"decay_period": 0}),
+    ("corpus", {"synth": {"num_classes": "x", "num_samples": 8}}),
+    ("corpus", {"synth": {"num_classes": 2, "num_samples": 8, "bogus": 1}}),
+    ("eval_corpus", {"synth": {"num_classes": 4, "num_samples": 2}}),
+])
+def test_bad_config_exits_2_and_writes_nothing(tmp_path, section, patch):
+    config = tiny_config(tmp_path / "run")
+    config[section] = {**config[section], **patch}
+    code, err = _train_exit(config, tmp_path)
+    assert code == 2 and err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_library_run_train_validates_before_writing(tmp_path):
+    config = tiny_config(tmp_path / "run")
+    config["augment"]["time_mask_max"] = 17
+    with pytest.raises(SamplerError, match="time_mask_max"):
+        run_train(config)
+    assert not (tmp_path / "run").exists()
 
 
 class TestRunTrain:
@@ -250,6 +350,15 @@ class TestEnhancePipeline:
         assert (student / "enhance_audit.csv").is_file()
         assert (student / "summary.json").is_file()
 
+    def test_eval_split_is_scored_once(self, teacher_setup, monkeypatch):
+        run_dir, onto_path, tmp_path = teacher_setup
+        calls = []
+        real = Model.predict
+        monkeypatch.setattr(Model, "predict",
+                            lambda self, *a, **k: calls.append(1) or real(self, *a, **k))
+        run_enhance(run_dir, onto_path, ["mean", "p25", "p10", "p5"], "both", tmp_path / "e4")
+        assert len(calls) == 2  # the train split and the eval split, not once per policy
+
     def test_missing_teacher_checkpoint(self, tmp_path):
         (tmp_path / "empty_run").mkdir()
         (tmp_path / "empty_run" / "config.json").write_text(json.dumps(
@@ -346,6 +455,31 @@ class TestBadInputExitCodes:
         run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
         (run_dir / "config.json").write_text('{"seed": ')
         self.assert_config_error(["eval", "--run", str(run_dir)], capsys)
+
+    def test_corrupt_run_summary(self, tmp_path, capsys):
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
+        for bad in ('{"config_hash": ', "[1, 2]"):
+            (run_dir / "summary.json").write_text(bad)
+            for argv in (["eval", "--run", str(run_dir)],
+                         ["aggregate", "--manifest", str(tmp_path / "m.txt"),
+                          "--out", str(tmp_path / "agg")]):
+                (tmp_path / "m.txt").write_text(f"{run_dir}\n")
+                self.assert_config_error(argv, capsys)
+
+    def test_ablate_without_eval_corpus_fails_before_training(self, tmp_path, capsys):
+        config = {**tiny_config(tmp_path / "run", epochs=1), "eval_corpus": None}
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps(config))
+        self.assert_config_error(["ablate", "--config", str(config_file), "--seeds", "1",
+                                  "--out", str(tmp_path / "abl")], capsys)
+        assert not (tmp_path / "abl").exists()
+
+    def test_seed_must_be_a_non_negative_integer(self, tmp_path, capsys):
+        config_file = tmp_path / "c.json"
+        for bad in (-1, "3", 1.0, True, None):
+            config_file.write_text(json.dumps({**tiny_config(tmp_path / "run"), "seed": bad}))
+            self.assert_config_error(["train", "--config", str(config_file)], capsys)
+        assert not (tmp_path / "run").exists()
 
     def test_weight_avg_start_must_be_a_positive_integer(self, tmp_path, capsys):
         config = tiny_config(tmp_path / "run", epochs=1)

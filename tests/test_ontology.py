@@ -70,6 +70,40 @@ class TestValidate:
         assert set(cycle) >= {4, 9}
 
 
+def _recursive_first_cycle(onto):
+    """Oracle: recursive depth-first search in class order, first back edge closes the cycle."""
+    state, stack = [0] * onto.num_classes, []
+
+    def dfs(k):
+        state[k] = 1
+        stack.append(k)
+        for c in onto.children[k]:
+            if state[c] == 1:
+                return stack[stack.index(c):] + [c]
+            if state[c] == 0 and (found := dfs(c)):
+                return found
+        stack.pop()
+        state[k] = 2
+
+    for k in range(onto.num_classes):
+        if state[k] == 0 and (found := dfs(k)):
+            return found
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cycle_matches_recursive_search(seed):
+    rng = np.random.default_rng(seed)
+    edges = [tuple(e) for e in rng.integers(0, 12, size=(int(rng.integers(4, 30)), 2))]
+    onto = Ontology.from_edges(12, edges)
+    expected = _recursive_first_cycle(onto)
+    if expected is None:
+        onto.validate()
+        return
+    with pytest.raises(CycleError) as err:
+        onto.validate()
+    assert err.value.cycle == expected
+
+
 def _random_dag(rng, n, num_edges):
     pos = rng.permutation(n)  # topological position of each node
     edges = []
@@ -104,3 +138,12 @@ class TestFileFormat:
         (tmp_path / "o.txt").write_text("a b\nb a\n")
         with pytest.raises(CycleError):
             read_ontology(tmp_path / "o.txt", ["a", "b"])
+
+    def test_long_cyclic_file_rejected_without_recursion(self, tmp_path):
+        n = 5000
+        names = [f"c{k}" for k in range(n)]
+        (tmp_path / "o.txt").write_text(
+            "".join(f"{names[k]} {names[(k + 1) % n]}\n" for k in range(n)))
+        with pytest.raises(CycleError) as err:
+            read_ontology(tmp_path / "o.txt", names)
+        assert err.value.cycle == list(range(n)) + [0]
