@@ -7,9 +7,7 @@ synthetic corpora without large-scale compute.
 """
 
 from .aggregate import Committee, average_weights, ensemble_mean, sweep_start_epoch
-from .augment import MaskParams, apply_mask, mixup
 from .corpus import (
-    ClassTable,
     MultiLabelCorpus,
     SynthSpec,
     generate_synthetic,
@@ -29,7 +27,6 @@ from .model import (
     TrainConfig,
     grad_check,
     load_external_init,
-    loss,
     train,
 )
 from .ontology import Ontology, read_ontology, write_ontology

@@ -3,15 +3,15 @@
 Weight averaging takes the coordinatewise mean of parameter vectors over a
 late training window (by default from the first epoch where the learning
 rate has dropped to a quarter of its base value). Ensembling averages the
-post-sigmoid prediction matrices of a committee; logit-space averaging is
-exposed because for the linear model variant it coincides exactly with
-weight averaging.
+post-sigmoid prediction matrices of a committee. For the linear model
+variant, weight averaging coincides exactly with averaging the members'
+pre-sigmoid logits.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ class Committee:
     """Prediction matrices of committee members, each (N_eval, C) in [0, 1]."""
 
     members: list[np.ndarray]
-    tags: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.members:
@@ -58,8 +57,6 @@ class Committee:
         for m in self.members[1:]:
             if m.shape != shape:
                 raise AggregateError(f"member shapes differ: {m.shape} vs {shape}")
-        if not self.tags:
-            self.tags = [f"member{i}" for i in range(len(self.members))]
 
 
 def ensemble_mean(committee: Committee) -> np.ndarray:
@@ -109,14 +106,3 @@ def write_sweep_csv(points: list[SweepPoint], path: str | Path) -> None:
         for pt in points:
             w.writerow([pt.start_epoch, repr(pt.weight_avg_map), repr(pt.prediction_avg_map)])
 
-
-def mean_logits(
-    checkpoints: list[ParameterVector],
-    config: ModelConfig,
-    eval_features: np.ndarray,
-) -> np.ndarray:
-    """Mean of per-member pre-sigmoid logits (the linearity-test quantity)."""
-    stacked = np.stack(
-        [Model.from_vector(config, ck).forward_logits(eval_features) for ck in checkpoints]
-    )
-    return stacked.mean(axis=0)

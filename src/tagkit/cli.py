@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +78,11 @@ SECTIONS = {
 }
 _JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
                list: "a list of two integers"}
+# Each synth key's JSON type, by example: its default, or an integer for the two
+# required counts and for pattern_seed, which may also be null.
+_SYNTH_TYPES = {f.name: 0 if f.default is MISSING or f.default is None
+                else list(f.default) if isinstance(f.default, tuple) else f.default
+                for f in fields(SynthSpec)}
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -147,6 +152,8 @@ def validate_config(config: dict, source: str = "<dict>") -> None:
         raise ConfigError(f"{source}: init_path does not exist: {config['init_path']}")
     if type(config["seed"]) is not int or config["seed"] < 0:
         raise ConfigError(f"{source}: seed must be an integer >= 0")
+    if type(config["output_dir"]) is not str:
+        raise ConfigError(f"{source}: output_dir must be a string")
     start = config["weight_avg_start"]
     if start is not None and (type(start) is not int or start < 1):
         raise ConfigError(f"{source}: weight_avg_start must be null or an integer >= 1")
@@ -197,10 +204,14 @@ def _load_labels_override(corpus: MultiLabelCorpus, labels_path: str) -> MultiLa
 def _synth_spec(synth: dict, **defaults) -> SynthSpec:
     try:
         spec = SynthSpec(**{**defaults, **synth})
-        spec = replace(spec, feature_shape=tuple(spec.feature_shape))
-        spec.validate()
     except TypeError as err:
         raise ConfigError(f"bad synth spec: {err}")
+    for key, value in synth.items():
+        example = _SYNTH_TYPES[key]
+        if not (_has_json_type(value, example) or key == "pattern_seed" and value is None):
+            raise ConfigError(f"bad synth spec: {key} must be {_JSON_TYPES[type(example)]}")
+    spec = replace(spec, feature_shape=tuple(spec.feature_shape))
+    spec.validate()
     return spec
 
 
@@ -331,11 +342,11 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
 
         eval_dir = run_dir / "eval"
         eval_dir.mkdir(exist_ok=True)
+        class_counts = corpus.labels.sum(axis=0)
         for epoch, report in enumerate(result.eval_reports, start=1):
             report.write_json(eval_dir / f"epoch_{epoch:03d}.json")
             report.write_class_csv(eval_dir / f"epoch_{epoch:03d}.csv",
-                                   class_names=corpus.class_names,
-                                   class_counts=corpus.class_table.counts)
+                                   corpus.class_names, class_counts)
 
         summary = {
             "config_hash": config_hash(config),
@@ -358,11 +369,8 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
             )
             wa_report.write_json(eval_dir / "weight_avg.json")
 
-            members = [
-                Model.from_vector(model_config, ck).predict(eval_feats)
-                for ck in result.checkpoints
-            ]
-            ens_report = evaluate(agg.ensemble_mean(agg.Committee(members)), eval_labels)
+            committee = agg.Committee(result.eval_predictions)
+            ens_report = evaluate(agg.ensemble_mean(committee), eval_labels)
             ens_report.write_json(eval_dir / "checkpoint_ensemble.json")
 
             summary.update(
@@ -486,6 +494,12 @@ def _load_run(run_dir: Path) -> tuple[dict, ModelConfig]:
     return config, build_model_config(config)
 
 
+def _check_class_count(model_config: ModelConfig, corpus: MultiLabelCorpus, run_dir: Path) -> None:
+    if corpus.num_classes != model_config.num_classes:
+        raise ConfigError(f"the eval corpus has {corpus.num_classes} classes, "
+                          f"the run {run_dir} scores {model_config.num_classes}")
+
+
 def _teacher_checkpoint(run_dir: Path) -> ParameterVector:
     wa = run_dir / "weight_avg.ckpt"
     if wa.is_file():
@@ -575,15 +589,14 @@ def run_aggregate(
         eval_corpus = build_eval_corpus(loaded[0][0])
     if eval_corpus is None:
         raise ConfigError("no eval corpus: pass one or configure it in the first run")
+    for run_dir, (_, model_config) in zip(run_dirs, loaded):
+        _check_class_count(model_config, eval_corpus, run_dir)
     eval_feats = eval_corpus.features
     eval_labels = eval_corpus.label_matrix()
 
-    members, tags = [], []
-    for run_dir, (_, model_config) in zip(run_dirs, loaded):
-        member = Model.from_vector(model_config, _teacher_checkpoint(run_dir))
-        members.append(member.predict(eval_feats))
-        tags.append(str(run_dir))
-    committee = agg.Committee(members, tags)
+    members = [Model.from_vector(model_config, _teacher_checkpoint(run_dir)).predict(eval_feats)
+               for run_dir, (_, model_config) in zip(run_dirs, loaded)]
+    committee = agg.Committee(members)
 
     member_reports = [evaluate(m, eval_labels) for m in members]
     member_maps = [r.map for r in member_reports]
@@ -594,8 +607,8 @@ def run_aggregate(
     with open(out_dir / "members.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["member", "map"])
-        for tag, m in zip(tags, member_maps):
-            w.writerow([tag, repr(m)])
+        for run_dir, m in zip(run_dirs, member_maps):
+            w.writerow([str(run_dir), repr(m)])
     comparison = {
         "num_members": len(members),
         "avg_map": float(np.mean(member_maps)),
@@ -624,12 +637,12 @@ def run_aggregate(
 def _add_synth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--ratio", type=float, default=100.0)
-    p.add_argument("--cooccurrence", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--time-frames", type=int, default=1056)
-    p.add_argument("--freq-bins", type=int, default=128)
-    p.add_argument("--signal-strength", type=float, default=1.0)
+    p.add_argument("--ratio", type=float, default=SynthSpec.imbalance_ratio)
+    p.add_argument("--cooccurrence", type=float, default=SynthSpec.cooccurrence)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
+    p.add_argument("--time-frames", type=int, default=SynthSpec.feature_shape[0])
+    p.add_argument("--freq-bins", type=int, default=SynthSpec.feature_shape[1])
+    p.add_argument("--signal-strength", type=float, default=SynthSpec.planted_signal_strength)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -674,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mixup-rate", type=float, default=0.5)
+    p.add_argument("--mixup-rate", type=float, default=AugmentConfig.mixup_rate)
     p.add_argument("--plain", action="store_true", help="traversal instead of balanced draws")
     p.add_argument("--out", required=True)
     return parser
@@ -714,6 +727,7 @@ def _cmd_eval(args) -> int:
         eval_corpus = build_eval_corpus(config)
     if eval_corpus is None:
         raise ConfigError("run has no eval corpus; pass --corpus")
+    _check_class_count(model_config, eval_corpus, run_dir)
     if args.checkpoint:
         path = run_dir / (f"{args.checkpoint}.ckpt" if not args.checkpoint.endswith(".ckpt")
                           else args.checkpoint)
@@ -768,7 +782,7 @@ def _cmd_ablate(args) -> int:
 def _cmd_coverage(args) -> int:
     corpus = read_corpus(args.corpus)
     labels = corpus.label_matrix()
-    weights = make_weights(corpus.class_table, labels)
+    weights = make_weights(labels)
     t_frames, f_bins = corpus.feature_shape
     config = AugmentConfig(
         freq_mask_max=min(AugmentConfig.freq_mask_max, f_bins),
@@ -793,7 +807,7 @@ _COMMANDS = {
 }
 
 _CONFIG_ERRORS = (ConfigError, CorpusError, OntologyError, SamplerError,
-                  LabelFixError, ModelError, FileNotFoundError)
+                  LabelFixError, ModelError, agg.AggregateError, FileNotFoundError)
 _NUMERICAL_ERRORS = (DivergenceError, MetricError)
 
 

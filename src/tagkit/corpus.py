@@ -41,39 +41,17 @@ class UnknownClassError(CorpusError):
 
 
 @dataclass
-class ClassTable:
-    """Class names plus per-class sample counts (number of samples carrying each label)."""
-
-    names: list[str]
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if len(self.names) < 1:
-            raise CorpusError("class table needs at least one class")
-        if self.counts.shape != (len(self.names),):
-            raise CorpusError("counts length does not match class names")
-        if np.any(self.counts < 0):
-            raise CorpusError("negative class count")
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.names)
-
-
-@dataclass
 class MultiLabelCorpus:
     """Samples as columns: ids, an (N, *feature_shape) feature array, an (N, C) uint8 label matrix.
 
-    Synthesis and disk reads store float32 features. class_table and
-    feature_shape are derived from the arrays once, here.
+    Synthesis and disk reads store float32 features. feature_shape is
+    derived from the feature array once, here.
     """
 
     ids: list[str]
     features: np.ndarray
     labels: np.ndarray
     class_names: list[str]
-    class_table: ClassTable = field(init=False)
     feature_shape: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
@@ -94,7 +72,6 @@ class MultiLabelCorpus:
         finite = np.isfinite(lo) & np.isfinite(hi)
         if not finite.all():
             raise CorpusError(f"sample {self.ids[np.argmin(finite)]!r} has non-finite features")
-        self.class_table = ClassTable(self.class_names, self.labels.sum(axis=0))
         self.feature_shape = self.features.shape[1:]
 
     def __len__(self) -> int:
@@ -102,7 +79,7 @@ class MultiLabelCorpus:
 
     @property
     def num_classes(self) -> int:
-        return self.class_table.num_classes
+        return len(self.class_names)
 
     def label_matrix(self) -> np.ndarray:
         """(N, C) multi-hot uint8 matrix (a copy)."""
@@ -155,6 +132,8 @@ class SynthSpec:
             raise CorpusError("planted_signal_strength must be >= 0")
         if len(self.feature_shape) != 2 or any(d < 1 for d in self.feature_shape):
             raise CorpusError("feature_shape must be (time_frames, freq_bins)")
+        if self.seed < 0 or (self.pattern_seed or 0) < 0:
+            raise CorpusError("seed and pattern_seed must be >= 0")
 
     @property
     def zipf_exponent(self) -> float:

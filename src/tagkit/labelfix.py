@@ -96,12 +96,11 @@ class EnhanceAudit:
     def impacted_classes(self) -> list[int]:
         return np.flatnonzero(self.per_class_added > 0).tolist()
 
-    def write_csv(self, path: str | Path, class_names: list[str] | None = None) -> None:
-        names = class_names or [f"class{k:03d}" for k in range(len(self.per_class_added))]
+    def write_csv(self, path: str | Path, class_names: list[str]) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["class", "labels_added", "impacted"])
-            for k, name in enumerate(names):
+            for k, name in enumerate(class_names):
                 w.writerow([name, int(self.per_class_added[k]), int(self.per_class_added[k] > 0)])
 
 

@@ -152,23 +152,16 @@ class EvalReport:
     def write_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
-    def write_class_csv(
-        self,
-        path: str | Path,
-        class_names: list[str] | None = None,
-        class_counts: np.ndarray | None = None,
-    ) -> None:
+    def write_class_csv(self, path: str | Path, class_names: list[str],
+                        class_counts: np.ndarray) -> None:
         """Per-class (class, AP, AUC, count) table, the sorted class-wise AP data source."""
-        n = len(self.per_class_ap)
-        names = class_names or [f"class{k:03d}" for k in range(n)]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["class", "ap", "auc", "count"])
-            for k in range(n):
-                count = int(class_counts[k]) if class_counts is not None else ""
+            for k, name in enumerate(class_names):
                 ap = "" if math.isnan(self.per_class_ap[k]) else repr(float(self.per_class_ap[k]))
                 auc = "" if math.isnan(self.per_class_auc[k]) else repr(float(self.per_class_auc[k]))
-                w.writerow([names[k], ap, auc, count])
+                w.writerow([name, ap, auc, int(class_counts[k])])
 
 
 def evaluate(predictions: np.ndarray, labels: np.ndarray) -> EvalReport:

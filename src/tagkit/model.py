@@ -70,10 +70,9 @@ class ModelConfig:
                     f"time_frames {self.time_frames} not divisible by strides {self.time_strides}"
                 )
 
-    @property
-    def encoded_frames(self) -> int:
-        s1, s2 = self.time_strides
-        return self.time_frames // (s1 * s2)
+
+PREDICT_BATCH = 256
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -230,11 +229,11 @@ class Model:
         cache = self._forward_full(x)
         return cache["logits"][0] if cache["squeeze"] else cache["logits"]
 
-    def predict(self, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """(N, T, F) -> (N, C) probability matrix, batched."""
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """(N, T, F) -> (N, C) probability matrix, in batches of PREDICT_BATCH clips."""
         out = []
-        for lo in range(0, len(features), batch_size):
-            probs, _ = self.forward(features[lo : lo + batch_size])
+        for lo in range(0, len(features), PREDICT_BATCH):
+            probs, _ = self.forward(features[lo : lo + PREDICT_BATCH])
             out.append(probs)
         return np.concatenate(out, axis=0)
 
@@ -316,16 +315,6 @@ class Model:
         model = cls.init(config, np.random.default_rng(0))
         model.load_vector(vec)
         return model
-
-
-def loss(scores: np.ndarray, targets: np.ndarray, eps: float = 1e-12) -> float:
-    """Probability-space BCE: mean over classes of -[y log p + (1-y) log(1-p)].
-
-    Scores are clamped to [eps, 1-eps]; targets may be soft (mixup labels).
-    """
-    p = np.clip(np.asarray(scores, dtype=np.float64), eps, 1.0 - eps)
-    y = np.asarray(targets, dtype=np.float64)
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
 
 
 @dataclass
@@ -426,8 +415,14 @@ class LRSchedule:
     decay_factor: float = 0.5
 
     def __post_init__(self):
+        if not self.base_lr > 0:
+            raise ModelError("base_lr must be > 0")
+        if self.warmup_iters < 0:
+            raise ModelError("warmup_iters must be >= 0")
         if self.decay_period < 1:
             raise ModelError("decay_period must be >= 1")
+        if not 0 < self.decay_factor <= 1:
+            raise ModelError("decay_factor must be in (0, 1]")
 
     def lr(self, iteration: int, epoch: int) -> float:
         """Learning rate at a 1-based global iteration within a 1-based epoch."""
@@ -451,9 +446,6 @@ class TrainConfig:
     batch_size: int = 100
     schedule: LRSchedule = field(default_factory=LRSchedule)
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     report_last_k: int = 5
 
     def __post_init__(self):
@@ -468,6 +460,7 @@ class TrainResult:
     checkpoints: list[ParameterVector]
     log_rows: list[dict]  # epoch, iteration, lr, loss, eval_map
     eval_reports: list[EvalReport]
+    eval_predictions: list[np.ndarray]  # per epoch, the (N_eval, C) scores behind eval_reports
     final_model: Model
 
     def headline_map(self, last_k: int = 5) -> float:
@@ -495,8 +488,8 @@ def _assemble_batch(
 ):
     """Features and soft labels of plan draws ``index``: mixup, then time/frequency masks.
 
-    Bit-identical to applying ``augment.mixup`` and ``augment.apply_mask``
-    draw by draw; plan_epoch guarantees the masks fit the feature shape.
+    Bit-identical to mixing and masking each draw on its own; plan_epoch
+    guarantees the masks fit the feature shape.
     """
     primary = plan.primary[index]
     x = _gather_rows(corpus.features, primary)
@@ -538,13 +531,13 @@ def train(
     """
     seed = train_config.seed
     labels = corpus.label_matrix()
-    weights = make_weights(corpus.class_table, labels)
+    weights = make_weights(labels)
     model = init_model if init_model is not None else Model.init(model_config, stream(seed, "init"))
 
     adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
     adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
     sched = train_config.schedule
-    b1, b2, eps = train_config.adam_beta1, train_config.adam_beta2, train_config.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
     eval_feats = eval_corpus.features if eval_corpus is not None else None
     eval_labels = eval_corpus.label_matrix() if eval_corpus is not None else None
@@ -552,6 +545,7 @@ def train(
     checkpoints: list[ParameterVector] = []
     log_rows: list[dict] = []
     eval_reports: list[EvalReport] = []
+    eval_predictions: list[np.ndarray] = []
     step = 0
     for epoch in range(1, train_config.epochs + 1):
         plan = plan_epoch(
@@ -584,13 +578,16 @@ def train(
             )
         checkpoints.append(model.params_vector())
         if eval_feats is not None:
-            report = evaluate(model.predict(eval_feats), eval_labels)
+            scores = model.predict(eval_feats)
+            report = evaluate(scores, eval_labels)
             eval_reports.append(report)
+            eval_predictions.append(scores)
             log_rows[-1] = dict(log_rows[-1], eval_map=report.map)
     return TrainResult(
         checkpoints=checkpoints,
         log_rows=log_rows,
         eval_reports=eval_reports,
+        eval_predictions=eval_predictions,
         final_model=model,
     )
 

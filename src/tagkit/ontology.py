@@ -46,16 +46,6 @@ class Ontology:
             [sorted(s) for s in parents],
         )
 
-    @classmethod
-    def empty(cls, num_classes: int) -> "Ontology":
-        return cls.from_edges(num_classes, [])
-
-    def neighbors(self, k: int) -> set[int]:
-        """Union of direct parents and direct children of k (one hop only)."""
-        if not 0 <= k < self.num_classes:
-            raise OntologyError(f"class id {k} out of range [0, {self.num_classes})")
-        return set(self.parents[k]) | set(self.children[k])
-
     def validate(self) -> None:
         """Accept iff the graph is a DAG; otherwise raise CycleError naming one cycle."""
         indeg = [len(p) for p in self.parents]

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ClassTable
 from .rng import stream_seed
 
 
@@ -53,14 +52,10 @@ class AugmentConfig:
             raise SamplerError("mixup_alpha must be > 0")
 
 
-def make_weights(class_table: ClassTable, labels: np.ndarray) -> np.ndarray:
+def make_weights(labels: np.ndarray) -> np.ndarray:
     """Per-sample sampling weight: sum of inverse class counts over the sample's labels."""
     labels = np.asarray(labels)
-    counts = class_table.counts
-    present = labels.any(axis=0)
-    if np.any(present & (counts == 0)):
-        bad = np.flatnonzero(present & (counts == 0))
-        raise SamplerError(f"classes {bad.tolist()} appear in labels but have zero count")
+    counts = labels.sum(axis=0)
     recip = np.zeros(len(counts), dtype=np.float64)
     nz = counts > 0
     recip[nz] = 1.0 / counts[nz]
@@ -89,32 +84,6 @@ class EpochPlan:
 
     def __len__(self) -> int:
         return len(self.primary)
-
-    def to_text(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write("draw\tprimary\tis_mixup\tpartner\tlambda\tf0\tf\tt0\tt\n")
-            for n in range(len(self)):
-                fh.write(
-                    f"{n}\t{self.primary[n]}\t{int(self.is_mixup[n])}\t"
-                    f"{self.partner[n]}\t{float(self.mix_lambda[n])!r}\t"
-                    f"{self.freq_off[n]}\t{self.freq_len[n]}\t"
-                    f"{self.time_off[n]}\t{self.time_len[n]}\n"
-                )
-
-    @classmethod
-    def from_text(cls, path: str | Path) -> "EpochPlan":
-        rows = Path(path).read_text().splitlines()[1:]
-        cols = list(zip(*[line.split("\t") for line in rows if line.strip()]))
-        return cls(
-            primary=np.array(cols[1], dtype=np.int64),
-            is_mixup=np.array(cols[2], dtype=np.int64).astype(bool),
-            partner=np.array(cols[3], dtype=np.int64),
-            mix_lambda=np.array(cols[4], dtype=np.float64),
-            freq_off=np.array(cols[5], dtype=np.int64),
-            freq_len=np.array(cols[6], dtype=np.int64),
-            time_off=np.array(cols[7], dtype=np.int64),
-            time_len=np.array(cols[8], dtype=np.int64),
-        )
 
 
 def _draw_indices(

@@ -1,8 +1,13 @@
-"""Feature-space augmentation: time/frequency masking and mixup.
+"""Reference implementations that tests compare tagkit against.
 
-Masking uses union semantics: the frequency band is blanked across all
-time frames and the time band across all frequency bins, as two
-independent maskings of the same matrix.
+- Feature-space augmentation, one sample at a time: time/frequency masking
+  and mixup. Batch assembly in training (``model._assemble_batch``) must be
+  bit-identical to mixing and then masking each draw with these. Masking
+  uses union semantics: the frequency band is blanked across all time
+  frames and the time band across all frequency bins, as two independent
+  maskings of the same matrix.
+- The mean of committee members' pre-sigmoid logits, which for the linear
+  model variant equals the logits of the weight-averaged model.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from tagkit.model import Model, ModelConfig, ParameterVector
 
 
 class MaskBoundsError(ValueError):
@@ -70,3 +77,15 @@ def mixup(
     x = lam * np.asarray(x_i, dtype=np.float64) + mu * np.asarray(x_j, dtype=np.float64)
     y = lam * np.asarray(y_i, dtype=np.float64) + mu * np.asarray(y_j, dtype=np.float64)
     return x, y
+
+
+def mean_logits(
+    checkpoints: list[ParameterVector],
+    config: ModelConfig,
+    eval_features: np.ndarray,
+) -> np.ndarray:
+    """Mean of per-member pre-sigmoid logits (the linearity-test quantity)."""
+    stacked = np.stack(
+        [Model.from_vector(config, ck).forward_logits(eval_features) for ck in checkpoints]
+    )
+    return stacked.mean(axis=0)

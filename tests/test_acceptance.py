@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from tagkit.aggregate import average_weights, mean_logits
+from tagkit.aggregate import average_weights
 from tagkit.corpus import SynthSpec, generate_synthetic
 from tagkit.labelfix import ThresholdSet, enhance, make_thresholds
 from tagkit.metrics import average_precision, d_prime, evaluate, roc_auc
@@ -25,6 +25,7 @@ from tagkit.model import (
 from tagkit.rng import stream
 from tagkit.sampler import AugmentConfig, make_weights, plan_epoch, simulate_coverage
 
+from oracles import mean_logits
 from test_labelfix import planted_error_benchmark
 from test_metrics import ap_oracle, auc_oracle
 
@@ -91,7 +92,7 @@ def test_criterion_04_coverage_analytics():
         num_classes=15, num_samples=3000, imbalance_ratio=500, seed=44,
         feature_shape=(8, 4)))
     labels = corpus.label_matrix()
-    w = make_weights(corpus.class_table, labels)
+    w = make_weights(labels)
     base = dict(freq_mask_max=2, time_mask_max=2)
     unseen_mix = simulate_coverage(w, labels, AugmentConfig(mixup_rate=0.5, **base),
                                    5, 7).unseen_fraction[4]
@@ -180,7 +181,7 @@ def test_criterion_08_attention_normalization():
     uniform.params["att_b"][:] = 0.0
     x = rng.standard_normal((3, 24, 12))
     cache = uniform._forward_full(x)
-    mean_pool = np.einsum("bhtc,h->bc", cache["cls"], cache["gamma"]) / config.encoded_frames
+    mean_pool = np.einsum("bhtc,h->bc", cache["cls"], cache["gamma"]) / cache["cls"].shape[2]
     uniform_gap = float(np.abs(cache["logits"] - mean_pool).max())
     ok = worst <= 1e-6 and uniform_gap <= 1e-12
     _report(8, ok, f"max |sum(att) - 1| = {worst:.2e}; "

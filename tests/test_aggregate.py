@@ -8,7 +8,6 @@ from tagkit.aggregate import (
     Committee,
     average_weights,
     ensemble_mean,
-    mean_logits,
     sweep_start_epoch,
     write_sweep_csv,
 )
@@ -17,6 +16,8 @@ from tagkit.metrics import evaluate
 from tagkit.model import LRSchedule, Model, ModelConfig, ParameterVector, TrainConfig, train
 from tagkit.rng import stream
 from tagkit.sampler import AugmentConfig
+
+from oracles import mean_logits
 
 
 def vec(values, name="w"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagkit.augment import MaskBoundsError, MaskParams, MixupShapeError, apply_mask, mixup
+from oracles import MaskBoundsError, MaskParams, MixupShapeError, apply_mask, mixup
 
 
 class TestApplyMask:

@@ -14,6 +14,8 @@ from tagkit.cli import (
     SECTIONS,
     ConfigError,
     apply_toggle,
+    build_eval_corpus,
+    build_model_config,
     config_hash,
     load_config,
     main,
@@ -23,7 +25,8 @@ from tagkit.cli import (
     run_train,
 )
 from tagkit.corpus import read_corpus
-from tagkit.model import Model
+from tagkit.metrics import evaluate
+from tagkit.model import Model, ParameterVector
 from tagkit.sampler import SamplerError
 from tagkit.ontology import write_ontology, Ontology
 
@@ -149,12 +152,28 @@ def test_wrongly_typed_section_value_is_rejected_before_writing(tmp_path_factory
     ("corpus", {"synth": {"num_classes": "x", "num_samples": 8}}),
     ("corpus", {"synth": {"num_classes": 2, "num_samples": 8, "bogus": 1}}),
     ("eval_corpus", {"synth": {"num_classes": 4, "num_samples": 2}}),
+    ("train", {"base_lr": -0.001}), ("train", {"base_lr": 0}),
+    ("train", {"decay_factor": -0.5}), ("train", {"decay_factor": 0}),
+    ("train", {"decay_factor": 1.5}), ("train", {"warmup_iters": -5}),
+    ("corpus", {"synth": {"num_classes": 4, "num_samples": 48, "seed": "x"}}),
+    ("corpus", {"synth": {"num_classes": 4, "num_samples": 32.5}}),
+    ("corpus", {"synth": {"num_classes": 4, "num_samples": 48, "seed": -1}}),
+    ("eval_corpus", {"synth": {"num_classes": 4, "num_samples": 32, "feature_shape": [16.0, 8]}}),
+    ("eval_corpus", {"synth": {"num_classes": 4, "num_samples": 32, "pattern_seed": True}}),
 ])
 def test_bad_config_exits_2_and_writes_nothing(tmp_path, section, patch):
     config = tiny_config(tmp_path / "run")
     config[section] = {**config[section], **patch}
     code, err = _train_exit(config, tmp_path)
     assert code == 2 and err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_output_dir_must_be_a_string(tmp_path):
+    config = {**tiny_config(tmp_path / "run"), "output_dir": 3}
+    code, err = _train_exit(config, tmp_path)
+    assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
+    assert "output_dir must be a string" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -181,6 +200,27 @@ class TestRunTrain:
         for key in ("headline_map", "weight_avg_map", "ensemble_map", "config_hash"):
             assert key in summary
         assert not (run_dir / "lock").exists()
+
+    def test_each_checkpoint_is_scored_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = Model.predict
+        monkeypatch.setattr(Model, "predict",
+                            lambda self, *a, **k: calls.append(1) or real(self, *a, **k))
+        run_train(tiny_config(tmp_path / "run", epochs=3))
+        assert len(calls) == 4  # the eval split after each epoch, then the weight average
+
+    def test_checkpoint_ensemble_matches_saved_checkpoints(self, tmp_path):
+        config = tiny_config(tmp_path / "run", epochs=3)
+        run_dir = run_train(config)
+        model_config = build_model_config(config)
+        eval_corpus = build_eval_corpus(config)
+        members = [Model.from_vector(model_config, ParameterVector.load(p)).predict(
+                       eval_corpus.features)
+                   for p in sorted((run_dir / "checkpoints").glob("epoch_*.ckpt"))]
+        report = evaluate(np.mean(np.stack(members), axis=0), eval_corpus.label_matrix())
+        report.write_json(tmp_path / "want.json")
+        assert ((run_dir / "eval" / "checkpoint_ensemble.json").read_bytes()
+                == (tmp_path / "want.json").read_bytes())
 
     def test_same_seed_same_headline(self, tmp_path):
         a = run_train(tiny_config(tmp_path / "a", seed=3))
@@ -466,6 +506,24 @@ class TestBadInputExitCodes:
                 (tmp_path / "m.txt").write_text(f"{run_dir}\n")
                 self.assert_config_error(argv, capsys)
 
+    def test_class_count_mismatch(self, tmp_path, capsys):
+        four = run_train(tiny_config(tmp_path / "four", epochs=1))
+        config = tiny_config(tmp_path / "three", epochs=1)
+        for split in ("corpus", "eval_corpus"):
+            config[split]["synth"]["num_classes"] = 3
+        three = run_train(config)
+        (tmp_path / "m.txt").write_text(f"{three}\n{four}\n")
+        corpus_dir = tmp_path / "c3"
+        assert main(["synth", "--classes", "3", "--samples", "12", "--time-frames", "16",
+                     "--freq-bins", "8", "--out", str(corpus_dir)]) == 0
+        capsys.readouterr()
+        for argv in (["aggregate", "--manifest", str(tmp_path / "m.txt"),
+                      "--out", str(tmp_path / "agg")],
+                     ["eval", "--run", str(four), "--corpus", str(corpus_dir)],
+                     ["aggregate", "--manifest", str(tmp_path / "m.txt"), "--corpus",
+                      str(corpus_dir), "--out", str(tmp_path / "agg")]):
+            self.assert_config_error(argv, capsys)
+
     def test_ablate_without_eval_corpus_fails_before_training(self, tmp_path, capsys):
         config = {**tiny_config(tmp_path / "run", epochs=1), "eval_corpus": None}
         config_file = tmp_path / "c.json"
@@ -498,7 +556,7 @@ def test_class_csv_counts_are_training_class_counts(tmp_path):
 
     config = tiny_config(tmp_path / "run", epochs=2)
     run_dir = run_train(config)
-    counts = build_corpora(config)[0].class_table.counts.tolist()
+    counts = build_corpora(config)[0].labels.sum(axis=0).tolist()
     assert min(counts) > 0
     for epoch in (1, 2):
         rows = (run_dir / "eval" / f"epoch_{epoch:03d}.csv").read_text().splitlines()

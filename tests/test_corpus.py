@@ -27,13 +27,13 @@ def tiny_corpus():
 class TestCountClasses:
     def test_direct_tally(self):
         corpus = tiny_corpus()
-        assert corpus.class_table.counts.tolist() == [2, 2]
+        assert corpus.labels.sum(axis=0).tolist() == [2, 2]
         assert corpus.feature_shape == (4, 3)
 
     def test_saturated_labels(self):
         corpus = MultiLabelCorpus([f"s{i}" for i in range(4)], np.zeros((4, 2, 2)),
                                   np.ones((4, 3)), ["A", "B", "C"])
-        assert corpus.class_table.counts.tolist() == [4, 4, 4]
+        assert corpus.labels.sum(axis=0).tolist() == [4, 4, 4]
 
     def test_synthetic_counts_match_independent_tally(self):
         corpus = generate_synthetic(
@@ -44,14 +44,14 @@ class TestCountClasses:
         for row in corpus.labels:
             for k, bit in enumerate(row):
                 tally[k] += int(bit)
-        assert corpus.class_table.counts.tolist() == tally.tolist()
+        assert corpus.labels.sum(axis=0).tolist() == tally.tolist()
 
     def test_label_bit_conservation(self):
         corpus = generate_synthetic(
             SynthSpec(num_classes=5, num_samples=100, seed=3, feature_shape=(8, 4))
         )
         total_bits = sum(int(bit) for row in corpus.labels for bit in row)
-        assert int(corpus.class_table.counts.sum()) == total_bits
+        assert int(corpus.labels.sum(axis=0).sum()) == total_bits
         assert total_bits >= len(corpus)
 
 
@@ -69,14 +69,14 @@ class TestGenerateSynthetic:
             SynthSpec(num_classes=2, num_samples=100, imbalance_ratio=1, seed=2,
                       feature_shape=(8, 4))
         )
-        lo, hi = sorted(corpus.class_table.counts.tolist())
+        lo, hi = sorted(corpus.labels.sum(axis=0).tolist())
         assert hi <= 1.2 * lo
 
     def test_imbalance_ratio_within_20_percent(self):
         for seed in range(4):
             spec = SynthSpec(num_classes=12, num_samples=2000, imbalance_ratio=200,
                              seed=seed, feature_shape=(8, 4))
-            counts = generate_synthetic(spec).class_table.counts
+            counts = generate_synthetic(spec).labels.sum(axis=0)
             ratio = counts.max() / counts.min()
             assert abs(ratio - 200) <= 0.2 * 200
             assert counts.min() >= 1
@@ -84,7 +84,7 @@ class TestGenerateSynthetic:
     def test_fitted_zipf_exponent_matches_configured(self):
         spec = SynthSpec(num_classes=20, num_samples=5000, imbalance_ratio=500, seed=3,
                          feature_shape=(8, 4))
-        counts = np.sort(generate_synthetic(spec).class_table.counts)[::-1]
+        counts = np.sort(generate_synthetic(spec).labels.sum(axis=0))[::-1]
         ranks = np.arange(1, 21)
         slope = np.polyfit(np.log(ranks), np.log(counts), 1)[0]
         assert -slope == pytest.approx(spec.zipf_exponent, rel=0.10)
@@ -138,8 +138,8 @@ class TestDiskFormat:
         write_corpus(corpus, tmp_path / "c")
         back = read_corpus(tmp_path / "c")
         assert back.feature_shape == corpus.feature_shape
-        assert back.class_table.names == corpus.class_table.names
-        assert back.class_table.counts.tolist() == corpus.class_table.counts.tolist()
+        assert back.class_names == corpus.class_names
+        assert back.labels.sum(axis=0).tolist() == corpus.labels.sum(axis=0).tolist()
         assert back.ids == corpus.ids
         assert back.features.dtype == corpus.features.dtype == np.float32
         assert back.features.tobytes() == corpus.features.tobytes()
@@ -208,8 +208,8 @@ class TestInvariants:
         corpus = tiny_corpus()
         swapped = corpus.with_labels([[0, 1], [0, 1], [1, 1]])
         assert swapped.features is corpus.features
-        assert swapped.class_table.counts.tolist() == [1, 3]
-        assert corpus.class_table.counts.tolist() == [2, 2]
+        assert swapped.labels.sum(axis=0).tolist() == [1, 3]
+        assert corpus.labels.sum(axis=0).tolist() == [2, 2]
         with pytest.raises(CorpusError):
             corpus.with_labels(np.ones((2, 2)))
 

@@ -100,7 +100,7 @@ class TestEnhance:
         labels[:, 0] = 1
         scores = rng.random((10, 4))
         t = ThresholdSet(values=np.full(4, 0.5), policy="mean")
-        out, audit = enhance(labels, scores, Ontology.empty(4), t)
+        out, audit = enhance(labels, scores, Ontology.from_edges(4, []), t)
         assert np.array_equal(out, labels)
         assert audit.labels_added == 0
 
@@ -198,7 +198,7 @@ class TestEnhance:
         assert rows[2] == "child,2,1"
 
     def test_dimension_mismatch(self):
-        onto = Ontology.empty(3)
+        onto = Ontology.from_edges(3, [])
         t = ThresholdSet(values=np.full(3, 0.5), policy="mean")
         with pytest.raises(LabelFixError):
             enhance(np.zeros((2, 4), dtype=np.uint8), np.zeros((2, 4)), onto, t)
