@@ -437,6 +437,8 @@ def run_ablation(
             raise ConfigError(f"toggle {toggle!r} not in {ABLATION_TOGGLES}")
     if config["eval_corpus"] is None:
         raise ConfigError("ablate needs an eval_corpus: the variants are compared on its mAP")
+    if num_seeds < 1:
+        raise ConfigError(f"ablate needs at least one seed, got {num_seeds}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     variants = [("full", set())] + [(f"no-{t}", {t}) for t in toggles]
@@ -526,7 +528,6 @@ def run_enhance(
             raise ConfigError(f"policy must be one of {POLICIES}")
     teacher_run = Path(teacher_run)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     config, model_config = _load_run(teacher_run)
     corpus, eval_corpus = build_corpora(config)
@@ -538,11 +539,20 @@ def run_enhance(
     if eval_corpus is not None:
         eval_labels = eval_corpus.label_matrix()
         eval_scores = teacher.predict(eval_corpus.features)
-    results = {}
+    outcomes = []
     for policy in policies:
         thresholds = make_thresholds(train_scores, train_labels, policy)
-        enhanced, audit = enhance(train_labels, train_scores, onto, thresholds,
-                                  mode=mode, strict=strict)
+        train_outcome = enhance(train_labels, train_scores, onto, thresholds,
+                                mode=mode, strict=strict)
+        eval_outcome = None
+        if eval_corpus is not None:
+            eval_outcome = enhance_eval_set(eval_labels, eval_scores, onto, thresholds,
+                                            mode=mode, strict=strict)
+        outcomes.append((policy, train_outcome, eval_outcome))
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = {}
+    for policy, (enhanced, audit), eval_outcome in outcomes:
         write_labels(out_dir / f"train_labels_{policy}_{mode}.txt",
                      corpus.ids, enhanced, corpus.class_names)
         audit.write_csv(out_dir / f"audit_train_{policy}_{mode}.csv", corpus.class_names)
@@ -551,10 +561,8 @@ def run_enhance(
             "train_added_pct": audit.added_pct,
             "train_impacted_classes": len(audit.impacted_classes),
         }
-        if eval_corpus is not None:
-            enhanced_eval, eval_audit = enhance_eval_set(
-                eval_labels, eval_scores, onto, thresholds, mode=mode, strict=strict
-            )
+        if eval_outcome is not None:
+            enhanced_eval, eval_audit = eval_outcome
             write_labels(out_dir / f"eval_labels_{policy}_{mode}.txt",
                          eval_corpus.ids, enhanced_eval, eval_corpus.class_names)
             eval_audit.write_csv(out_dir / f"audit_eval_{policy}_{mode}.csv",
@@ -573,7 +581,6 @@ def run_aggregate(
     """Ensemble the committee in a manifest of run directories; emit reports and curves."""
     manifest_path = Path(manifest_path)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     run_dirs = [
         Path(line.strip())
         for line in manifest_path.read_text().splitlines()
@@ -600,9 +607,19 @@ def run_aggregate(
 
     member_reports = [evaluate(m, eval_labels) for m in members]
     member_maps = [r.map for r in member_reports]
+    ens_report = evaluate(agg.ensemble_mean(committee), eval_labels)
+    # Start-epoch sweep over a single run's own checkpoint sequence.
+    points = None
+    if len(run_dirs) == 1:
+        ckpts = [
+            ParameterVector.load(p)
+            for p in sorted((run_dirs[0] / "checkpoints").glob("epoch_*.ckpt"))
+        ]
+        points = agg.sweep_start_epoch(ckpts, loaded[0][1], eval_feats, eval_labels)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
     for i, report in enumerate(member_reports):
         report.write_json(out_dir / f"member_{i:03d}.json")
-    ens_report = evaluate(agg.ensemble_mean(committee), eval_labels)
     ens_report.write_json(out_dir / "ensemble_report.json")
     with open(out_dir / "members.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -619,14 +636,7 @@ def run_aggregate(
         w = csv.DictWriter(fh, fieldnames=list(comparison.keys()))
         w.writeheader()
         w.writerow(comparison)
-
-    # Start-epoch sweep over a single run's own checkpoint sequence.
-    if len(run_dirs) == 1:
-        ckpts = [
-            ParameterVector.load(p)
-            for p in sorted((run_dirs[0] / "checkpoints").glob("epoch_*.ckpt"))
-        ]
-        points = agg.sweep_start_epoch(ckpts, loaded[0][1], eval_feats, eval_labels)
+    if points is not None:
         agg.write_sweep_csv(points, out_dir / "start_epoch_sweep.csv")
     return comparison
 
@@ -790,6 +800,7 @@ def _cmd_coverage(args) -> int:
         mixup_rate=args.mixup_rate,
         balanced=not args.plain,
     )
+    config.validate(corpus.feature_shape)
     trace = simulate_coverage(weights, labels, config, args.epochs, args.seed)
     trace.write_csv(args.out)
     print(f"unseen after {args.epochs} epochs: {trace.unseen_fraction[-1]:.4f}")

@@ -1,10 +1,13 @@
 """Evaluation engine: per-class AP, mAP, ROC-AUC, d-prime, and diagnostics.
 
 Conventions pinned here because they move the numbers:
-- AP is non-interpolated (precision summed at each positive's rank); ties
-  are broken by one stable descending sort, so equal scores keep input order.
+- Each class is ranked by one stable descending sort of its scores, so equal
+  scores keep input order. AP and AUC both come from that order.
+- AP is non-interpolated (precision summed at each positive's rank).
 - AUC is the rank statistic (P[random positive outscores random negative]),
   ties counting one half.
+- Predictions must be finite: a NaN or an infinity raises MetricError,
+  because no rank for it is right.
 - Classes with no positives (or no negatives, for AUC) are undefined and
   excluded from the means; the report records how many were skipped.
 """
@@ -30,42 +33,65 @@ class UndefinedMetricError(MetricError):
 
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     """Non-interpolated AP of one class: mean precision at each positive's rank."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    npos = int(labels.sum())
-    if npos == 0:
+    ap, _ = _score_classes(np.reshape(scores, (-1, 1)), np.reshape(labels, (-1, 1)))
+    if math.isnan(ap[0]):
         raise UndefinedMetricError("average precision undefined without positives")
-    order = np.argsort(-scores, kind="stable")
-    hits = labels[order].astype(np.float64)
-    precision_at = np.cumsum(hits) / np.arange(1, len(scores) + 1)
-    return float(precision_at[hits == 1].sum() / npos)
+    return float(ap[0])
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-statistic AUC; ties contribute one half."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(bool)
-    npos = int(labels.sum())
-    nneg = labels.size - npos
-    if npos == 0 or nneg == 0:
+    _, auc = _score_classes(np.reshape(scores, (-1, 1)), np.reshape(labels, (-1, 1)))
+    if math.isnan(auc[0]):
         raise UndefinedMetricError("AUC undefined without both positives and negatives")
-    ranks = _midranks(scores)
-    pos_rank_sum = float(ranks[labels].sum())
-    return (pos_rank_sum - npos * (npos + 1) / 2.0) / (npos * nneg)
+    return float(auc[0])
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean rank of their group."""
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    new_group = np.r_[True, sx[1:] != sx[:-1]]
-    group = np.cumsum(new_group) - 1
-    counts = np.bincount(group)
-    starts = np.cumsum(counts) - counts
-    mid = starts + (counts + 1) / 2.0
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = mid[group]
-    return ranks
+def _score_classes(predictions: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class AP and AUC of N x C scores; nan where a class is undefined.
+
+    Every class is ranked by one descending sort of a class-major copy. The
+    order is the stable one: a row without ties has a unique order, and a
+    row with ties is sorted again stably. Each class then does work only at
+    its positives.
+    """
+    predictions = np.asarray(predictions, dtype=np.float64)
+    labels = np.asarray(labels)
+    if predictions.shape != labels.shape or predictions.ndim != 2:
+        raise MetricError(
+            f"predictions {predictions.shape} and labels {labels.shape} must be equal N x C"
+        )
+    if not np.isfinite(predictions).all():
+        raise MetricError(
+            f"{int((~np.isfinite(predictions)).sum())} predictions are not finite numbers"
+        )
+    n, c = predictions.shape
+    neg = np.negative(predictions.T, order="C")  # row k: class k's scores, negated
+    order = np.argsort(neg, axis=1)
+    ranked = np.take_along_axis(neg, order, axis=1)
+    tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+    if tied.any():
+        # Equal scores keep input order. `ranked` stays valid: only equal values move.
+        order[tied] = np.argsort(neg[tied], axis=1, kind="stable")
+    cls, at = np.nonzero(np.take_along_axis(labels.T != 0, order, axis=1))
+    npos = np.bincount(cls, minlength=c)
+    ends = np.cumsum(npos)
+    ap = np.full(c, np.nan)
+    auc = np.full(c, np.nan)
+    for k in np.flatnonzero(npos):
+        p = int(npos[k])
+        hit_at = at[ends[k] - p : ends[k]]  # descending positions of class k's positives
+        # Precision at the j-th positive is j / (its position + 1).
+        ap[k] = (np.arange(1, p + 1) / (hit_at + 1)).sum() / p
+        if p < n:
+            # Ascending midrank of each positive's tie group [lo, hi): half-integers,
+            # so the sum is exact in any order.
+            row = ranked[k]
+            lo = np.searchsorted(row, row[hit_at], "left")
+            hi = np.searchsorted(row, row[hit_at], "right")
+            rank_sum = float(((n - hi) + (hi - lo + 1) / 2.0).sum())
+            auc[k] = (rank_sum - p * (p + 1) / 2.0) / (p * (n - p))
+    return ap, auc
 
 
 def inv_norm_cdf(p: float) -> float:
@@ -166,24 +192,8 @@ class EvalReport:
 
 def evaluate(predictions: np.ndarray, labels: np.ndarray) -> EvalReport:
     """Assemble per-class AP/AUC, their means, and d-prime from the mean AUC."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape or predictions.ndim != 2:
-        raise MetricError(
-            f"predictions {predictions.shape} and labels {labels.shape} must be equal N x C"
-        )
-    n, c = predictions.shape
-    ap = np.full(c, np.nan)
-    auc = np.full(c, np.nan)
-    for k in range(c):
-        try:
-            ap[k] = average_precision(predictions[:, k], labels[:, k])
-        except UndefinedMetricError:
-            pass
-        try:
-            auc[k] = roc_auc(predictions[:, k], labels[:, k])
-        except UndefinedMetricError:
-            pass
+    ap, auc = _score_classes(predictions, labels)
+    n, c = np.shape(predictions)
     defined_ap = ~np.isnan(ap)
     defined_auc = ~np.isnan(auc)
     if not defined_ap.any() or not defined_auc.any():

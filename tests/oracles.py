@@ -8,6 +8,9 @@
   maskings of the same matrix.
 - The mean of committee members' pre-sigmoid logits, which for the linear
   model variant equals the logits of the weight-averaged model.
+- Per-class AP and AUC, one class at a time: two stable sorts of each
+  column, one for AP and one for the AUC midranks. ``metrics.evaluate``
+  must give byte-equal per-class values.
 """
 
 from __future__ import annotations
@@ -89,3 +92,42 @@ def mean_logits(
         [Model.from_vector(config, ck).forward_logits(eval_features) for ck in checkpoints]
     )
     return stacked.mean(axis=0)
+
+
+def per_class_metrics(predictions: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class AP and AUC, nan where undefined, scored column by column."""
+    predictions = np.asarray(predictions, dtype=np.float64)
+    labels = np.asarray(labels)
+    c = predictions.shape[1]
+    ap = np.full(c, np.nan)
+    auc = np.full(c, np.nan)
+    for k in range(c):
+        scores, column = predictions[:, k], labels[:, k]
+        npos = int(column.sum())
+        if npos == 0:
+            continue
+        order = np.argsort(-scores, kind="stable")
+        hits = column[order].astype(np.float64)
+        precision_at = np.cumsum(hits) / np.arange(1, len(scores) + 1)
+        ap[k] = float(precision_at[hits == 1].sum() / npos)
+        positive = column.astype(bool)
+        nneg = column.size - npos
+        if nneg == 0:
+            continue
+        pos_rank_sum = float(_midranks(scores)[positive].sum())
+        auc[k] = (pos_rank_sum - npos * (npos + 1) / 2.0) / (npos * nneg)
+    return ap, auc
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties assigned the mean rank of their group."""
+    order = np.argsort(x, kind="stable")
+    sx = x[order]
+    new_group = np.r_[True, sx[1:] != sx[:-1]]
+    group = np.cumsum(new_group) - 1
+    counts = np.bincount(group)
+    starts = np.cumsum(counts) - counts
+    mid = starts + (counts + 1) / 2.0
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = mid[group]
+    return ranks

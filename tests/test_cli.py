@@ -532,6 +532,47 @@ class TestBadInputExitCodes:
                                   "--out", str(tmp_path / "abl")], capsys)
         assert not (tmp_path / "abl").exists()
 
+    def test_ablate_needs_a_seed(self, tmp_path, capsys):
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps(tiny_config(tmp_path / "run", epochs=1)))
+        for bad in ("0", "-1"):
+            self.assert_config_error(["ablate", "--config", str(config_file), "--seeds", bad,
+                                      "--out", str(tmp_path / "abl")], capsys)
+        assert not (tmp_path / "abl").exists() and not (tmp_path / "run").exists()
+
+    def test_coverage_mixup_rate_out_of_range(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "c"
+        assert main(["synth", "--classes", "3", "--samples", "12", "--time-frames", "8",
+                     "--freq-bins", "4", "--out", str(corpus_dir)]) == 0
+        capsys.readouterr()
+        for bad in ("2", "-1"):
+            self.assert_config_error(["coverage", "--corpus", str(corpus_dir), "--mixup-rate",
+                                      bad, "--out", str(tmp_path / "cov.csv")], capsys)
+        assert not (tmp_path / "cov.csv").exists()
+
+    def test_failed_aggregate_leaves_no_output_directory(self, tmp_path, capsys):
+        self.assert_config_error(["aggregate", "--manifest", str(tmp_path / "nonexist.txt"),
+                                  "--out", str(tmp_path / "aggX")], capsys)
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
+        (tmp_path / "m.txt").write_text(f"{run_dir}\n")
+        for ckpt in (run_dir / "checkpoints").glob("*.ckpt"):
+            ckpt.write_bytes(ckpt.read_bytes()[:-3])
+        (run_dir / "weight_avg.ckpt").unlink(missing_ok=True)
+        self.assert_config_error(["aggregate", "--manifest", str(tmp_path / "m.txt"),
+                                  "--out", str(tmp_path / "aggX")], capsys)
+        assert not (tmp_path / "aggX").exists()
+
+    def test_failed_enhance_leaves_no_output_directory(self, tmp_path, capsys):
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
+        for onto in (tmp_path / "missing.txt", tmp_path / "bad.txt"):
+            (tmp_path / "bad.txt").write_text("class000 no_such_class\n")
+            self.assert_config_error(["enhance", "--teacher-run", str(run_dir), "--ontology",
+                                      str(onto), "--out", str(tmp_path / "enhX")], capsys)
+        self.assert_config_error(["enhance", "--teacher-run", str(tmp_path / "nonexist"),
+                                  "--ontology", str(tmp_path / "bad.txt"),
+                                  "--out", str(tmp_path / "enhX")], capsys)
+        assert not (tmp_path / "enhX").exists()
+
     def test_seed_must_be_a_non_negative_integer(self, tmp_path, capsys):
         config_file = tmp_path / "c.json"
         for bad in (-1, "3", 1.0, True, None):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import per_class_metrics
 from tagkit.metrics import (
     MetricError,
     UndefinedMetricError,
@@ -197,6 +198,25 @@ class TestEvaluate:
         b = evaluate(preds[:, perm], labels[:, perm]).map
         assert a == pytest.approx(b, abs=1e-15)
 
+    def test_non_finite_predictions_rejected(self):
+        # A NaN used to rank last for AP and first for AUC, giving AP 0.75 and AUC 1.0.
+        preds = np.array([[0.9, 0.2], [np.nan, 0.8], [0.1, 0.3], [0.5, np.nan]])
+        labels = np.array([[1, 0], [1, 1], [0, 0], [0, 1]])
+        with pytest.raises(MetricError, match="not finite"):
+            evaluate(preds, labels)
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(MetricError, match="not finite"):
+                evaluate(np.where(np.isnan(preds), bad, preds), labels)
+        with pytest.raises(MetricError, match="not finite"):
+            average_precision(preds[:, 0], labels[:, 0])
+        with pytest.raises(MetricError, match="not finite"):
+            roc_auc(preds[:, 0], labels[:, 0])
+
+    def test_empty_matrix_is_degenerate(self):
+        for shape in ((0, 3), (4, 0)):
+            with pytest.raises(MetricError):
+                evaluate(np.zeros(shape), np.zeros(shape, dtype=np.uint8))
+
     def test_last_5_epoch_headline_is_mean_of_reports(self):
         # The headline protocol averages per-epoch mAPs; verify the arithmetic.
         maps = [0.21, 0.25, 0.24, 0.28, 0.3, 0.29, 0.31]
@@ -241,3 +261,46 @@ def test_auc_rank_statistic_matches_pairs_for_any_scores(raw_scores, label_seed)
     labels = (rng.random(len(scores)) < 0.5).astype(int)
     labels[0], labels[1] = 1, 0
     assert roc_auc(scores, labels) == auc_oracle(scores.tolist(), labels.tolist())
+
+
+@st.composite
+def scored_matrices(draw):
+    """N x C scores and 0/1 labels mixing tie-free, tied and signed-zero columns,
+    classes with no, some or only positives, float32 and non-contiguous layouts."""
+    n = draw(st.integers(1, 40))
+    c = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.standard_normal((n, c))
+    for k in range(c):
+        decimals = draw(st.sampled_from([None, 1, 0]))
+        if decimals is not None:
+            scores[:, k] = np.round(scores[:, k], decimals)
+        if draw(st.booleans()):  # some zeros become -0.0
+            zero = scores[:, k] == 0.0
+            scores[zero, k] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    rates = np.array([draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])) for _ in range(c)])
+    labels = (rng.random((n, c)) < rates).astype(draw(st.sampled_from([np.uint8, np.int64, bool])))
+    if draw(st.booleans()):
+        scores = scores.astype(np.float32)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        scores = np.asfortranarray(scores)
+    elif layout == "strided":  # every other row and column of a larger matrix
+        wide = np.zeros((2 * n, 2 * c), dtype=scores.dtype)
+        wide[::2, ::2] = scores
+        scores = wide[::2, ::2]
+    return scores, labels
+
+
+@given(scored_matrices())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_evaluate_is_byte_equal_to_per_column_oracle(case):
+    scores, labels = case
+    want_ap, want_auc = per_class_metrics(scores, labels)
+    if np.isnan(want_ap).all() or np.isnan(want_auc).all():
+        with pytest.raises(MetricError, match="degenerate"):
+            evaluate(scores, labels)
+        return
+    report = evaluate(scores, labels)
+    assert report.per_class_ap.tobytes() == want_ap.tobytes()
+    assert report.per_class_auc.tobytes() == want_auc.tobytes()
