@@ -60,8 +60,19 @@ class Committee:
 
 
 def ensemble_mean(committee: Committee) -> np.ndarray:
-    """Elementwise mean of the member prediction matrices."""
-    return np.mean(np.stack(committee.members), axis=0)
+    """Elementwise mean of the member prediction matrices.
+
+    Members are summed in order into one matrix, with no stacked copy of the
+    committee; the bits are those of ``np.mean(np.stack(members), axis=0)``.
+    """
+    members = committee.members
+    if members[0].size == 1:  # numpy sums a lone element's axis pairwise, not in order
+        return np.mean(np.stack(members), axis=0)
+    total = members[0].copy()
+    for m in members[1:]:
+        total += m
+    total /= len(members)
+    return total
 
 
 @dataclass
@@ -84,16 +95,17 @@ def sweep_start_epoch(
     """
     if not checkpoints:
         raise AggregateError("need at least one checkpoint")
-    member_preds = []
-    for ck in checkpoints:
-        member_preds.append(Model.from_vector(config, ck).predict(eval_features))
+    # Filled in place, so at most one member's prediction exists beside the stack.
+    member_preds = np.empty((len(checkpoints), len(eval_features), config.num_classes))
+    for i, ck in enumerate(checkpoints):
+        member_preds[i] = Model.from_vector(config, ck).predict(eval_features)
     points = []
     for start in range(1, len(checkpoints) + 1):
         avg_vec = average_weights(checkpoints, start)
         wa_map = evaluate(
             Model.from_vector(config, avg_vec).predict(eval_features), eval_labels
         ).map
-        pred = np.mean(np.stack(member_preds[start - 1 :]), axis=0)
+        pred = np.mean(member_preds[start - 1 :], axis=0)
         pa_map = evaluate(pred, eval_labels).map
         points.append(SweepPoint(start, wa_map, pa_map))
     return points

@@ -63,9 +63,10 @@ def make_thresholds(scores: np.ndarray, labels: np.ndarray, policy: str) -> Thre
         raise LabelFixError("teacher scores must lie in [0, 1]")
 
     c = scores.shape[1]
+    cls, at = np.nonzero(labels.T > 0)  # positives, class-major, in input order
+    ends = np.cumsum(np.bincount(cls, minlength=c))
     values = np.full(c, np.nan)
-    for k in range(c):
-        pos = scores[labels[:, k] > 0, k]
+    for k, pos in enumerate(np.split(scores[at, cls], ends[:-1])):
         if pos.size == 0:
             continue
         if policy == "mean":

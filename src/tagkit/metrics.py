@@ -50,10 +50,11 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 def _score_classes(predictions: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-class AP and AUC of N x C scores; nan where a class is undefined.
 
-    Every class is ranked by one descending sort of a class-major copy. The
-    order is the stable one: a row without ties has a unique order, and a
-    row with ties is sorted again stably. Each class then does work only at
-    its positives.
+    Every class's negated scores are sorted by value, in place, as one row of
+    a class-major copy; no permutation is built. Binary search places each
+    positive in its row: without adjacent equal values a row has one order,
+    so a positive sits at the left end of its value. Only a row with ties is
+    sorted again, stably, so that equal scores keep input order.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
     labels = np.asarray(labels)
@@ -66,31 +67,41 @@ def _score_classes(predictions: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
             f"{int((~np.isfinite(predictions)).sum())} predictions are not finite numbers"
         )
     n, c = predictions.shape
+    cls, at = np.nonzero(labels.T != 0)  # positives, class-major, in input order
     neg = np.negative(predictions.T, order="C")  # row k: class k's scores, negated
-    order = np.argsort(neg, axis=1)
-    ranked = np.take_along_axis(neg, order, axis=1)
-    tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
-    if tied.any():
-        # Equal scores keep input order. `ranked` stays valid: only equal values move.
-        order[tied] = np.argsort(neg[tied], axis=1, kind="stable")
-    cls, at = np.nonzero(np.take_along_axis(labels.T != 0, order, axis=1))
+    hit = neg[cls, at]
+    neg.sort(axis=1)
     npos = np.bincount(cls, minlength=c)
     ends = np.cumsum(npos)
-    ap = np.full(c, np.nan)
-    auc = np.full(c, np.nan)
+    starts = ends - npos
+    # Each positive's tie group [lo, hi) in its class's ascending row.
+    lo = np.empty_like(at)
+    hi = np.empty_like(at)
     for k in np.flatnonzero(npos):
-        p = int(npos[k])
-        hit_at = at[ends[k] - p : ends[k]]  # descending positions of class k's positives
-        # Precision at the j-th positive is j / (its position + 1).
-        ap[k] = (np.arange(1, p + 1) / (hit_at + 1)).sum() / p
-        if p < n:
-            # Ascending midrank of each positive's tie group [lo, hi): half-integers,
-            # so the sum is exact in any order.
-            row = ranked[k]
-            lo = np.searchsorted(row, row[hit_at], "left")
-            hi = np.searchsorted(row, row[hit_at], "right")
-            rank_sum = float(((n - hi) + (hi - lo + 1) / 2.0).sum())
-            auc[k] = (rank_sum - p * (p + 1) / 2.0) / (p * (n - p))
+        s, e = starts[k], ends[k]
+        lo[s:e] = neg[k].searchsorted(hit[s:e], "left")
+        hi[s:e] = neg[k].searchsorted(hit[s:e], "right")
+    place = lo.copy()  # descending position of each positive
+    tied = (neg[:, 1:] == neg[:, :-1]).any(axis=1)
+    for k in np.flatnonzero(tied & (npos > 0)):
+        s, e = starts[k], ends[k]
+        place_of = np.empty(n, dtype=np.intp)
+        place_of[np.argsort(np.negative(predictions[:, k]), kind="stable")] = np.arange(n)
+        place[s:e] = place_of[at[s:e]]
+    place = np.sort(cls * n + place) - cls * n  # ascending within each class
+    # Precision at a class's j-th positive is j / (its position + 1).
+    precision = (np.arange(cls.size) - starts[cls] + 1) / (place + 1)
+    ap = np.full(c, np.nan)
+    for p in np.flatnonzero(np.bincount(npos)[1:]) + 1:  # each positive count in use
+        # One (m, p) row per class sums in the same pairwise order as a 1-D .sum().
+        ks = np.flatnonzero(npos == p)
+        ap[ks] = precision[starts[ks, None] + np.arange(p)].sum(axis=1) / p
+    # Ascending midranks are half-integers, so their sums are exact in any order.
+    rank_sum = np.bincount(cls, weights=(n - hi) + (hi - lo + 1) / 2.0, minlength=c)
+    auc = np.full(c, np.nan)
+    both = (npos > 0) & (npos < n)
+    p = npos[both]
+    auc[both] = (rank_sum[both] - p * (p + 1) / 2.0) / (p * (n - p))
     return ap, auc
 
 

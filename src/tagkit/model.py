@@ -78,8 +78,13 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument never overflows; each branch is the
     # textbook form that is exact on its own sign.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=d)
+    return np.where(z >= 0, d, e)
 
 
 # The head's per-head contractions run as one 2-D matmul each, so BLAS does
@@ -304,17 +309,11 @@ class Model:
         flat = np.concatenate([self.params[name].ravel() for name, _ in manifest])
         return ParameterVector(values=flat.copy(), manifest=manifest)
 
-    def load_vector(self, vec: "ParameterVector") -> None:
-        own = self.params_vector().manifest
-        if vec.manifest != own:
-            raise CheckpointError("parameter manifest mismatch")
-        self.params = vec.to_dict()
-
     @classmethod
     def from_vector(cls, config: ModelConfig, vec: "ParameterVector") -> "Model":
-        model = cls.init(config, np.random.default_rng(0))
-        model.load_vector(vec)
-        return model
+        if vec.manifest != tuple(cls.param_manifest(config)):
+            raise CheckpointError("parameter manifest mismatch")
+        return cls(config, vec.to_dict())
 
 
 @dataclass

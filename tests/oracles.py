@@ -11,10 +11,13 @@
 - Per-class AP and AUC, one class at a time: two stable sorts of each
   column, one for AP and one for the AUC midranks. ``metrics.evaluate``
   must give byte-equal per-class values.
+- Label-repair thresholds, one class at a time from a boolean scan of its
+  column. ``labelfix.make_thresholds`` must give byte-equal thresholds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,3 +134,21 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     ranks = np.empty(x.size, dtype=np.float64)
     ranks[order] = mid[group]
     return ranks
+
+
+def thresholds(scores: np.ndarray, labels: np.ndarray, policy: str) -> np.ndarray:
+    """Per-class label-repair thresholds, nan for classes without positives."""
+    c = scores.shape[1]
+    values = np.full(c, np.nan)
+    for k in range(c):
+        pos = scores[labels[:, k] > 0, k]
+        if pos.size == 0:
+            continue
+        if policy == "mean":
+            values[k] = pos.mean()
+        else:
+            pct = int(policy[1:])
+            ranked = np.sort(pos)
+            rank = max(1, math.ceil(pct / 100.0 * pos.size))  # nearest-rank
+            values[k] = ranked[rank - 1]
+    return values

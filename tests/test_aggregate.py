@@ -1,11 +1,14 @@
 """Weight averaging, prediction ensembling, and the linear-variant identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tagkit.aggregate import (
     AggregateError,
     Committee,
+    SweepPoint,
     average_weights,
     ensemble_mean,
     sweep_start_epoch,
@@ -90,6 +93,22 @@ class TestEnsembleMean:
                 want = sum(m[i, j] for m in members) / 7
                 assert out[i, j] == pytest.approx(want, abs=1e-15)
 
+    def test_byte_equal_to_stacked_mean_without_a_stack(self):
+        rng = np.random.default_rng(5)
+        for shape in ((1, 1), (1, 2), (2, 1), (7, 3)):
+            for m in (1, 2, 8, 9):
+                members = [rng.random(shape) * 10.0 ** rng.integers(-3, 3) for _ in range(m)]
+                want = np.mean(np.stack(members), axis=0)
+                assert ensemble_mean(Committee(members)).tobytes() == want.tobytes()
+        members = [rng.random((200, 50)) for _ in range(10)]
+        tracemalloc.start()
+        try:
+            ensemble_mean(Committee(members))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * members[0].nbytes
+
     def test_output_within_member_envelope(self):
         rng = np.random.default_rng(4)
         members = [rng.random((6, 3)) for _ in range(5)]
@@ -161,6 +180,21 @@ class TestSweep:
         ).map
         assert points[0].weight_avg_map == pytest.approx(single_map, abs=1e-15)
         assert points[0].prediction_avg_map == pytest.approx(single_map, abs=1e-15)
+
+    def test_points_are_byte_equal_to_per_start_stack_reference(self):
+        config = ModelConfig(num_classes=6, time_frames=4, freq_bins=5, variant="linear")
+        checkpoints = [Model.init(config, stream(e, "init")).params_vector() for e in range(9)]
+        rng = np.random.default_rng(40)
+        feats = rng.standard_normal((30, 4, 5))
+        labels = (rng.random((30, 6)) < 0.4).astype(np.uint8)
+        members = [Model.from_vector(config, ck).predict(feats) for ck in checkpoints]
+        want = []
+        for start in range(1, 10):
+            avg = Model.from_vector(config, average_weights(checkpoints, start))
+            pred = np.mean(np.stack(members[start - 1 :]), axis=0)
+            want.append(SweepPoint(start, evaluate(avg.predict(feats), labels).map,
+                                   evaluate(pred, labels).map))
+        assert sweep_start_epoch(checkpoints, config, feats, labels) == want
 
     def test_csv_emission(self, tmp_path):
         config, result, evalc = _linear_run(epochs=3)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagkit.labelfix import (
+    POLICIES,
     LabelFixError,
     ThresholdSet,
     UndefinedThresholdError,
@@ -12,6 +15,8 @@ from tagkit.labelfix import (
     make_thresholds,
 )
 from tagkit.ontology import Ontology
+
+from oracles import thresholds
 
 
 def planted_error_benchmark(seed=0, num_samples=200, noise=0.05):
@@ -91,6 +96,37 @@ class TestMakeThresholds:
             make_thresholds(np.full((2, 2), 1.5), np.ones((2, 2)), "mean")
         with pytest.raises(LabelFixError):
             make_thresholds(np.zeros((2, 2)), np.ones((3, 2)), "mean")
+
+
+@st.composite
+def scored_labels(draw):
+    """N x C teacher scores in [0, 1], some tied, and 0/1 labels with classes
+    holding no, some or only positives, in C, Fortran and strided layouts."""
+    n = draw(st.integers(1, 40))
+    c = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.random((n, c))
+    if draw(st.booleans()):
+        scores = np.round(scores, 1)
+    rates = np.array([draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])) for _ in range(c)])
+    labels = (rng.random((n, c)) < rates).astype(draw(st.sampled_from([np.uint8, np.int64, bool])))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        scores = np.asfortranarray(scores)
+    elif layout == "strided":
+        wide = np.zeros((2 * n, 2 * c))
+        wide[::2, ::2] = scores
+        scores = wide[::2, ::2]
+    return scores, labels
+
+
+@given(scored_labels())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_thresholds_are_byte_equal_to_per_column_oracle(case):
+    scores, labels = case
+    for policy in POLICIES:
+        got = make_thresholds(scores, labels, policy)
+        assert got.values.tobytes() == thresholds(scores, labels, policy).tobytes()
 
 
 class TestEnhance:

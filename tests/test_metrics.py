@@ -1,6 +1,7 @@
 """Metric correctness against independent brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,46 @@ class TestEvaluate:
         for shape in ((0, 3), (4, 0)):
             with pytest.raises(MetricError):
                 evaluate(np.zeros(shape), np.zeros(shape, dtype=np.uint8))
+
+    def test_inputs_left_unchanged(self):
+        rng = np.random.default_rng(10)
+        preds = np.round(rng.random((40, 6)), 1)
+        labels = (rng.random((40, 6)) < 0.4).astype(np.uint8)
+        wide = np.zeros((80, 12))
+        wide[::2, ::2] = preds
+        for p in (preds, np.asfortranarray(preds), wide[::2, ::2], preds.astype(np.float32)):
+            p_before, l_before = p.tobytes(), labels.tobytes()
+            evaluate(p, labels)
+            assert p.tobytes() == p_before
+            assert labels.tobytes() == l_before
+
+    def test_positives_inside_tie_groups_beside_untied_positives(self):
+        # Column 0 ties 0.5 three times (negative first) and 0.3 twice, next to
+        # untied positives at 0.9 and 0.7; column 1 has no ties at all.
+        preds = np.array([[0.9, 0.1], [0.5, 0.8], [0.5, 0.6], [0.3, 0.2], [0.5, 0.4],
+                          [0.1, 0.9], [0.7, 0.3], [0.3, 0.7]])
+        labels = np.array([[1, 0], [0, 1], [1, 0], [0, 1], [1, 1], [0, 0], [1, 1], [1, 0]])
+        report = evaluate(preds, labels)
+        want_ap, want_auc = per_class_metrics(preds, labels)
+        assert report.per_class_ap.tobytes() == want_ap.tobytes()
+        assert report.per_class_auc.tobytes() == want_auc.tobytes()
+        for k in range(2):
+            column, hits = preds[:, k].tolist(), labels[:, k].tolist()
+            assert report.per_class_ap[k] == pytest.approx(ap_oracle(column, hits), abs=1e-15)
+            assert report.per_class_auc[k] == auc_oracle(column, hits)
+
+    def test_peak_memory_below_two_prediction_copies(self):
+        # A (C, N) int64 rank permutation beside the sorted copy would need more than 2x.
+        rng = np.random.default_rng(11)
+        preds = rng.random((2500, 527))
+        labels = (rng.random((2500, 527)) < 0.02).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            evaluate(preds, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * preds.nbytes
 
     def test_last_5_epoch_headline_is_mean_of_reports(self):
         # The headline protocol averages per-epoch mAPs; verify the arithmetic.

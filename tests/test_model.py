@@ -480,6 +480,15 @@ class TestParameterVector:
         for name in model.params:
             assert np.array_equal(model.params[name], rebuilt.params[name])
 
+    def test_from_vector_is_bit_identical_and_checks_manifest(self):
+        model = Model.init(SMALL_ATT, stream(14, "init"))
+        vec = model.params_vector()
+        back = Model.from_vector(SMALL_ATT, vec)
+        assert back.params_vector().values.tobytes() == vec.values.tobytes()
+        other = replace(SMALL_ATT, num_classes=SMALL_ATT.num_classes + 1)
+        with pytest.raises(CheckpointError, match="manifest mismatch"):
+            Model.from_vector(other, vec)
+
 
 class TestLoadExternalInit:
     def test_own_save_loads_identically(self, tmp_path):
