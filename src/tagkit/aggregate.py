@@ -11,13 +11,13 @@ pre-sigmoid logits.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .metrics import evaluate
-from .model import Model, ModelConfig, ParameterVector
+from .model import PREDICT_BATCH, Model, ModelConfig, ModelError, ParameterVector
 
 
 class AggregateError(Exception):
@@ -82,6 +82,19 @@ class SweepPoint:
     prediction_avg_map: float
 
 
+def _time_means(features: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """(N, T, F) -> (N, 1, F) float64 time means, by the linear forward pass's own
+    operations on its own batches, so that no bit differs from pooling inside it."""
+    shape = (config.time_frames, config.freq_bins)
+    if features.shape[1:] != shape:
+        raise ModelError(f"input shape {features.shape[1:]} != configured {shape}")
+    pooled = np.empty((len(features), 1, config.freq_bins))
+    for lo in range(0, len(features), PREDICT_BATCH):
+        batch = np.asarray(features[lo : lo + PREDICT_BATCH], dtype=np.float64)
+        pooled[lo : lo + PREDICT_BATCH] = batch.mean(axis=1, keepdims=True)
+    return pooled
+
+
 def sweep_start_epoch(
     checkpoints: list[ParameterVector],
     config: ModelConfig,
@@ -95,20 +108,31 @@ def sweep_start_epoch(
     """
     if not checkpoints:
         raise AggregateError("need at least one checkpoint")
+    if config.variant == "linear":
+        # The linear model reads its input only through the time mean, which no
+        # checkpoint changes: pool once and predict on one-frame clips, whose
+        # mean is exact.
+        eval_features = _time_means(eval_features, config)
+        config = replace(config, time_frames=1)
+    starts = range(1, len(checkpoints) + 1)
+    # The weight averages are scored before the member stack is filled, and the
+    # pooled features are dropped before the prediction averages are scored, so
+    # no evaluate runs beside both.
+    wa_maps = [
+        evaluate(Model.from_vector(config, average_weights(checkpoints, start))
+                 .predict(eval_features), eval_labels).map
+        for start in starts
+    ]
     # Filled in place, so at most one member's prediction exists beside the stack.
     member_preds = np.empty((len(checkpoints), len(eval_features), config.num_classes))
     for i, ck in enumerate(checkpoints):
         member_preds[i] = Model.from_vector(config, ck).predict(eval_features)
-    points = []
-    for start in range(1, len(checkpoints) + 1):
-        avg_vec = average_weights(checkpoints, start)
-        wa_map = evaluate(
-            Model.from_vector(config, avg_vec).predict(eval_features), eval_labels
-        ).map
-        pred = np.mean(member_preds[start - 1 :], axis=0)
-        pa_map = evaluate(pred, eval_labels).map
-        points.append(SweepPoint(start, wa_map, pa_map))
-    return points
+    del eval_features
+    return [
+        SweepPoint(start, wa_map,
+                   evaluate(np.mean(member_preds[start - 1 :], axis=0), eval_labels).map)
+        for start, wa_map in zip(starts, wa_maps)
+    ]
 
 
 def write_sweep_csv(points: list[SweepPoint], path: str | Path) -> None:

@@ -301,28 +301,28 @@ class RunLock:
 
 
 def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
-    """Execute one training run; config.json is written once the config and corpora load."""
+    """Execute one training run; config.json is written once the config, init and corpora load."""
     validate_config(config)
     run_dir = Path(run_dir if run_dir is not None else config["output_dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     with RunLock(run_dir):
-        corpus, eval_corpus = build_corpora(config)
-        if config["enhance"] is not None:
-            corpus = _apply_enhancement(config["enhance"], corpus, run_dir)
-        snapshot = json.dumps(config, indent=2, sort_keys=True)
-        (run_dir / "config.json").write_text(snapshot + "\n")
         model_config = build_model_config(config)
-        augment_config = build_augment_config(config)
-        train_config = build_train_config(config)
-
         init_model = None
         if config["init_path"]:
             init_model, loaded, reinit = load_external_init(
                 model_config, config["init_path"], stream(config["seed"], "init")
             )
+        corpus, eval_corpus = build_corpora(config)
+        if config["enhance"] is not None:
+            corpus = _apply_enhancement(config["enhance"], corpus, run_dir)
+        snapshot = json.dumps(config, indent=2, sort_keys=True)
+        (run_dir / "config.json").write_text(snapshot + "\n")
+        if init_model is not None:
             (run_dir / "init_report.json").write_text(
                 json.dumps({"loaded": loaded, "reinitialized": reinit}, indent=2) + "\n"
             )
+        augment_config = build_augment_config(config)
+        train_config = build_train_config(config)
 
         result = train(
             corpus, model_config, augment_config, train_config,

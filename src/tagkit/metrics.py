@@ -23,6 +23,9 @@ from pathlib import Path
 import numpy as np
 
 
+_TILE = 256  # side of the square blocks in which _score_classes transposes
+
+
 class MetricError(Exception):
     pass
 
@@ -62,29 +65,38 @@ def _score_classes(predictions: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
         raise MetricError(
             f"predictions {predictions.shape} and labels {labels.shape} must be equal N x C"
         )
-    if not np.isfinite(predictions).all():
+    n, c = predictions.shape
+    # Positives, class-major, in input order.
+    cls, at = np.divmod(np.flatnonzero((labels != 0).T.copy()), n)
+    # Row k holds class k's scores, negated. The transpose is copied in tiles
+    # that stay in cache; one strided pass over the whole matrix does not.
+    neg = np.empty((c, n))
+    for i in range(0, n, _TILE):
+        for k in range(0, c, _TILE):
+            np.negative(predictions[i : i + _TILE, k : k + _TILE].T,
+                        out=neg[k : k + _TILE, i : i + _TILE])
+    hit = neg[cls, at]
+    neg.sort(axis=1)
+    # Sorting puts -inf first and +inf and NaN last, so the row ends show any.
+    if not (np.isfinite(neg[:, :1]).all() and np.isfinite(neg[:, -1:]).all()):
         raise MetricError(
             f"{int((~np.isfinite(predictions)).sum())} predictions are not finite numbers"
         )
-    n, c = predictions.shape
-    cls, at = np.nonzero(labels.T != 0)  # positives, class-major, in input order
-    neg = np.negative(predictions.T, order="C")  # row k: class k's scores, negated
-    hit = neg[cls, at]
-    neg.sort(axis=1)
     npos = np.bincount(cls, minlength=c)
     ends = np.cumsum(npos)
     starts = ends - npos
-    # Each positive's tie group [lo, hi) in its class's ascending row.
+    # Each positive's tie group [lo, hi) in its class's ascending row; in a row
+    # without adjacent equal values every group holds one value.
     lo = np.empty_like(at)
-    hi = np.empty_like(at)
     for k in np.flatnonzero(npos):
         s, e = starts[k], ends[k]
         lo[s:e] = neg[k].searchsorted(hit[s:e], "left")
-        hi[s:e] = neg[k].searchsorted(hit[s:e], "right")
+    hi = lo + 1
     place = lo.copy()  # descending position of each positive
     tied = (neg[:, 1:] == neg[:, :-1]).any(axis=1)
     for k in np.flatnonzero(tied & (npos > 0)):
         s, e = starts[k], ends[k]
+        hi[s:e] = neg[k].searchsorted(hit[s:e], "right")
         place_of = np.empty(n, dtype=np.intp)
         place_of[np.argsort(np.negative(predictions[:, k]), kind="stable")] = np.arange(n)
         place[s:e] = place_of[at[s:e]]

@@ -76,15 +76,17 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument never overflows; each branch is the
-    # textbook form that is exact on its own sign.
-    e = np.abs(z)
-    np.negative(e, out=e)
+    # exp(min(z, 0)) / (1 + exp(-|z|)): exp of a non-positive argument never
+    # overflows, and each sign gets its textbook form bit for bit, because
+    # exp(min(z, 0)) is exactly 1 for z >= 0 and -|z| is z for z < 0.
+    d = np.abs(z)
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    e = np.minimum(z, 0.0)
     np.exp(e, out=e)
-    d = e + 1.0
-    np.divide(e, d, out=e)
-    np.divide(1.0, d, out=d)
-    return np.where(z >= 0, d, e)
+    e /= d
+    return e
 
 
 # The head's per-head contractions run as one 2-D matmul each, so BLAS does
@@ -236,11 +238,10 @@ class Model:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """(N, T, F) -> (N, C) probability matrix, in batches of PREDICT_BATCH clips."""
-        out = []
+        out = np.empty((len(features), self.config.num_classes))
         for lo in range(0, len(features), PREDICT_BATCH):
-            probs, _ = self.forward(features[lo : lo + PREDICT_BATCH])
-            out.append(probs)
-        return np.concatenate(out, axis=0)
+            out[lo : lo + PREDICT_BATCH], _ = self.forward(features[lo : lo + PREDICT_BATCH])
+        return out
 
     # -- backward --------------------------------------------------------
 
@@ -326,6 +327,9 @@ class ParameterVector:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         self.manifest = tuple((str(n), tuple(int(d) for d in s)) for n, s in self.manifest)
+        names = [name for name, _ in self.manifest]
+        if len(set(names)) != len(names):
+            raise CheckpointError(f"manifest repeats a tensor name: {names}")
         total = sum(int(np.prod(s)) for _, s in self.manifest)
         if total != self.values.size:
             raise CheckpointError(
@@ -356,12 +360,16 @@ class ParameterVector:
         data = Path(path).read_bytes()
         marker = b"\nEND\n"
         pos = data.find(marker)
-        if pos < 0 or not data.startswith(b"TAGKIT-CKPT 1"):
+        if pos < 0 or not data.startswith(b"TAGKIT-CKPT 1\n"):
             raise CheckpointError(f"not a checkpoint file: {path}")
+        try:
+            lines = data[:pos].decode("ascii").splitlines()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: checkpoint header is not ASCII") from None
         manifest = []
-        for line in data[:pos].decode("ascii").splitlines()[1:]:
+        for line in lines[1:]:
             parts = line.split()
-            if parts[0] != "tensor" or len(parts) < 3:
+            if len(parts) < 3 or parts[0] != "tensor" or not all(d.isdigit() for d in parts[2:]):
                 raise CheckpointError(f"bad manifest line: {line!r}")
             manifest.append((parts[1], tuple(int(d) for d in parts[2:])))
         raw = data[pos + len(marker) :]

@@ -16,7 +16,9 @@ from tagkit.aggregate import (
 )
 from tagkit.corpus import SynthSpec, generate_synthetic
 from tagkit.metrics import evaluate
-from tagkit.model import LRSchedule, Model, ModelConfig, ParameterVector, TrainConfig, train
+from tagkit.model import (
+    LRSchedule, Model, ModelConfig, ModelError, ParameterVector, TrainConfig, train,
+)
 from tagkit.rng import stream
 from tagkit.sampler import AugmentConfig
 
@@ -181,20 +183,38 @@ class TestSweep:
         assert points[0].weight_avg_map == pytest.approx(single_map, abs=1e-15)
         assert points[0].prediction_avg_map == pytest.approx(single_map, abs=1e-15)
 
-    def test_points_are_byte_equal_to_per_start_stack_reference(self):
-        config = ModelConfig(num_classes=6, time_frames=4, freq_bins=5, variant="linear")
-        checkpoints = [Model.init(config, stream(e, "init")).params_vector() for e in range(9)]
+    def test_points_are_byte_equal_to_per_start_stack_reference(self, monkeypatch):
+        import tagkit.aggregate
+
+        scored = []  # every matrix the sweep scores, as bytes
+        monkeypatch.setattr(tagkit.aggregate, "evaluate",
+                            lambda p, y: scored.append(p.tobytes()) or evaluate(p, y))
         rng = np.random.default_rng(40)
-        feats = rng.standard_normal((30, 4, 5))
-        labels = (rng.random((30, 6)) < 0.4).astype(np.uint8)
-        members = [Model.from_vector(config, ck).predict(feats) for ck in checkpoints]
-        want = []
-        for start in range(1, 10):
-            avg = Model.from_vector(config, average_weights(checkpoints, start))
-            pred = np.mean(np.stack(members[start - 1 :]), axis=0)
-            want.append(SweepPoint(start, evaluate(avg.predict(feats), labels).map,
-                                   evaluate(pred, labels).map))
-        assert sweep_start_epoch(checkpoints, config, feats, labels) == want
+        # float32 features, more clips than one predict batch, one frame, one bin.
+        for n, t, f, dtype in [(30, 4, 5, np.float64), (600, 4, 5, np.float32),
+                               (300, 1, 5, np.float64), (300, 4, 1, np.float32)]:
+            config = ModelConfig(num_classes=6, time_frames=t, freq_bins=f, variant="linear")
+            checkpoints = [Model.init(config, stream(e, "init")).params_vector()
+                           for e in range(9)]
+            feats = rng.standard_normal((n, t, f)).astype(dtype)
+            labels = (rng.random((n, 6)) < 0.4).astype(np.uint8)
+            members = [Model.from_vector(config, ck).predict(feats) for ck in checkpoints]
+            want, want_scored = [], []
+            for start in range(1, 10):
+                avg = Model.from_vector(config, average_weights(checkpoints, start))
+                wa, pa = avg.predict(feats), np.mean(np.stack(members[start - 1 :]), axis=0)
+                want.append(SweepPoint(start, evaluate(wa, labels).map, evaluate(pa, labels).map))
+                want_scored += [wa.tobytes(), pa.tobytes()]
+            scored.clear()
+            assert sweep_start_epoch(checkpoints, config, feats, labels) == want
+            assert sorted(scored) == sorted(want_scored)
+
+    def test_features_of_the_wrong_shape_rejected(self):
+        config = ModelConfig(num_classes=3, time_frames=4, freq_bins=5, variant="linear")
+        checkpoints = [Model.init(config, stream(0, "init")).params_vector()]
+        labels = np.eye(3, dtype=np.uint8)[np.arange(12) % 3]
+        with pytest.raises(ModelError, match="input shape"):
+            sweep_start_epoch(checkpoints, config, np.zeros((12, 3, 5)), labels)
 
     def test_csv_emission(self, tmp_path):
         config, result, evalc = _linear_run(epochs=3)

@@ -573,6 +573,34 @@ class TestBadInputExitCodes:
                                   "--out", str(tmp_path / "enhX")], capsys)
         assert not (tmp_path / "enhX").exists()
 
+    @pytest.mark.parametrize("defect", ["blank line", "non-integer dimension",
+                                        "negative dimension", "non-ASCII name",
+                                        "repeated name", "unknown version",
+                                        "truncated payload"])
+    def test_malformed_init_checkpoint_header(self, tmp_path, capsys, defect):
+        config = tiny_config(tmp_path / "run", epochs=1)
+        donor = Model.init(build_model_config(config), np.random.default_rng(0))
+        donor.params_vector().save(tmp_path / "init.ckpt")
+        header, payload = (tmp_path / "init.ckpt").read_bytes().split(b"\nEND\n", 1)
+        version, first, second, *rest = header.split(b"\n")
+        assert (first, second) == (b"tensor enc1_w 16 6", b"tensor enc1_b 6")
+        header = b"\n".join({
+            "blank line": [version, b"", first, second],
+            "non-integer dimension": [version, b"tensor enc1_w 16 six", second],
+            "negative dimension": [version, b"tensor enc1_w -16 -6", second],
+            "non-ASCII name": [version, "tensor enc1_w\u00e9 16 6".encode(), second],
+            "repeated name": [version, first, b"tensor enc1_w 6"],
+            "unknown version": [b"TAGKIT-CKPT 12", first, second],
+            "truncated payload": [version, first, second],
+        }[defect] + rest)
+        if defect == "truncated payload":
+            payload = payload[:-3]
+        (tmp_path / "init.ckpt").write_bytes(header + b"\nEND\n" + payload)
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps({**config, "init_path": str(tmp_path / "init.ckpt")}))
+        self.assert_config_error(["train", "--config", str(config_file)], capsys)
+        assert not (tmp_path / "run" / "config.json").exists()
+
     def test_seed_must_be_a_non_negative_integer(self, tmp_path, capsys):
         config_file = tmp_path / "c.json"
         for bad in (-1, "3", 1.0, True, None):

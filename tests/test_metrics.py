@@ -213,6 +213,18 @@ class TestEvaluate:
         with pytest.raises(MetricError, match="not finite"):
             roc_auc(preds[:, 0], labels[:, 0])
 
+    def test_non_finite_inside_a_later_tile_is_counted(self):
+        rng = np.random.default_rng(12)
+        preds = rng.random((601, 300))
+        labels = (rng.random((601, 300)) < 0.3).astype(np.uint8)
+        cells = [(300, 280), (520, 270), (400, 10)]
+        for bad in ([np.nan], [np.inf], [-np.inf], [np.nan, np.inf, -np.inf]):
+            p = preds.copy()
+            for (i, k), value in zip(cells, bad):
+                p[i, k] = value
+            with pytest.raises(MetricError, match=f"^{len(bad)} predictions are not finite"):
+                evaluate(p, labels)
+
     def test_empty_matrix_is_degenerate(self):
         for shape in ((0, 3), (4, 0)):
             with pytest.raises(MetricError):
@@ -331,6 +343,22 @@ def scored_matrices(draw):
         wide[::2, ::2] = scores
         scores = wide[::2, ::2]
     return scores, labels
+
+
+@pytest.mark.parametrize("shape", [(601, 300), (256, 257), (601, 1), (1, 300)])
+def test_evaluate_is_byte_equal_to_per_column_oracle_across_tiles(shape):
+    rng = np.random.default_rng(13)
+    scores = rng.standard_normal(shape)
+    scores[:, ::3] = np.round(scores[:, ::3], 1)  # tied columns beside tie-free ones
+    labels = (rng.random(shape) < rng.choice([0.0, 0.05, 0.5, 1.0], shape[1])).astype(np.uint8)
+    want_ap, want_auc = per_class_metrics(scores, labels)
+    if np.isnan(want_auc).all():
+        with pytest.raises(MetricError, match="degenerate"):
+            evaluate(scores, labels)
+        return
+    report = evaluate(scores, labels)
+    assert report.per_class_ap.tobytes() == want_ap.tobytes()
+    assert report.per_class_auc.tobytes() == want_auc.tobytes()
 
 
 @given(scored_matrices())

@@ -264,10 +264,14 @@ class TestHeadOracle:
 
     def test_sigmoid_matches_boolean_index_form_bit_for_bit(self):
         rng = np.random.default_rng(33)
-        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0])
-        for z in (edges, 40.0 * rng.standard_normal(1000),
+        big = np.finfo(np.float64).max
+        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 746.0, -746.0,
+                          709.8, -709.8, 5e-324, -5e-324, big, -big, np.inf, -np.inf])
+        magnitudes = 10.0 ** rng.uniform(-300, 300, 3000) * rng.choice([-1.0, 1.0], 3000)
+        for z in (edges, magnitudes, 40.0 * rng.standard_normal(1000),
                   rng.standard_normal((3, 4, 5, 6)).transpose(0, 2, 1, 3)):
             assert _sigmoid(z).tobytes() == boolean_index_sigmoid(z).tobytes()
+        assert np.isnan(_sigmoid(np.array([np.nan, -np.nan, 1.0]))[:2]).all()
 
 
 class TestLRSchedule:
