@@ -351,7 +351,7 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
         summary = {
             "config_hash": config_hash(config),
             "epochs": train_config.epochs,
-            "num_params": result.final_model.num_params(),
+            "num_params": result.checkpoints[-1].values.size,
             "per_epoch_map": [r.map for r in result.eval_reports],
         }
         if eval_corpus is not None:
@@ -502,14 +502,23 @@ def _check_class_count(model_config: ModelConfig, corpus: MultiLabelCorpus, run_
                           f"the run {run_dir} scores {model_config.num_classes}")
 
 
+def _epoch_checkpoints(run_dir: Path) -> list[Path]:
+    """``checkpoints/epoch_<n>.ckpt`` in order of n, which must run exactly 1..N with N >= 1."""
+    numbered = []
+    for path in (run_dir / "checkpoints").glob("epoch_*.ckpt"):
+        digits = path.stem.removeprefix("epoch_")
+        numbered.append((int(digits) if digits.isdecimal() else 0, path))  # 0 is never valid
+    epochs = sorted(epoch for epoch, _ in numbered)
+    if not epochs or epochs != list(range(1, len(epochs) + 1)):
+        raise ConfigError(f"{run_dir}: checkpoint epochs {epochs} are not 1..N with N >= 1")
+    return [path for _, path in sorted(numbered)]
+
+
 def _teacher_checkpoint(run_dir: Path) -> ParameterVector:
     wa = run_dir / "weight_avg.ckpt"
     if wa.is_file():
         return ParameterVector.load(wa)
-    ckpts = sorted((run_dir / "checkpoints").glob("epoch_*.ckpt"))
-    if not ckpts:
-        raise ConfigError(f"no checkpoints in {run_dir}")
-    return ParameterVector.load(ckpts[-1])
+    return ParameterVector.load(_epoch_checkpoints(run_dir)[-1])
 
 
 def run_enhance(
@@ -611,10 +620,7 @@ def run_aggregate(
     # Start-epoch sweep over a single run's own checkpoint sequence.
     points = None
     if len(run_dirs) == 1:
-        ckpts = [
-            ParameterVector.load(p)
-            for p in sorted((run_dirs[0] / "checkpoints").glob("epoch_*.ckpt"))
-        ]
+        ckpts = [ParameterVector.load(p) for p in _epoch_checkpoints(run_dirs[0])]
         points = agg.sweep_start_epoch(ckpts, loaded[0][1], eval_feats, eval_labels)
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -118,14 +119,18 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
 
 
 class Model:
-    """Parameter container plus forward/backward for one config."""
+    """Forward/backward for one config over ``vector``, which it trains in place.
 
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
+    ``params`` maps each name to a reshaped view of ``vector.values``; the
+    mapping is read-only, so a tensor can be written through but not rebound.
+    """
+
+    def __init__(self, config: ModelConfig, vector: "ParameterVector"):
+        if vector.manifest != tuple(self.param_manifest(config)):
+            raise CheckpointError("parameter manifest mismatch")
         self.config = config
-        expected = {name for name, _ in self.param_manifest(config)}
-        if set(params) != expected:
-            raise ModelError(f"params {sorted(params)} != expected {sorted(expected)}")
-        self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+        self.vector = vector
+        self.params = MappingProxyType(vector.views(vector.values))
 
     @staticmethod
     def param_manifest(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -150,17 +155,14 @@ class Model:
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "Model":
         """Fresh parameters: weights ~ N(0, 1/fan_in), biases and gates zero."""
-        params = {}
-        for name, shape in cls.param_manifest(config):
-            if name.endswith("_b") or name in ("b", "head_gates"):
-                params[name] = np.zeros(shape)
-            else:
-                fan_in = shape[0] if len(shape) == 2 else shape[1]
-                params[name] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
-        return cls(config, params)
-
-    def num_params(self) -> int:
-        return sum(v.size for v in self.params.values())
+        manifest = cls.param_manifest(config)
+        model = cls(config, ParameterVector(
+            values=np.zeros(sum(math.prod(shape) for _, shape in manifest)), manifest=manifest))
+        for name, view in model.params.items():
+            if not (name.endswith("_b") or name in ("b", "head_gates")):
+                fan_in = view.shape[0] if view.ndim == 2 else view.shape[1]
+                view[...] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=view.shape)
+        return model
 
     # -- forward ---------------------------------------------------------
 
@@ -245,8 +247,8 @@ class Model:
 
     # -- backward --------------------------------------------------------
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray):
-        """Mean logit-space BCE over the batch and its exact parameter gradients."""
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """Mean logit-space BCE over the batch and its exact gradient, laid out like ``vector``."""
         cache = self._forward_full(x)
         z = cache["logits"]
         y = np.asarray(y, dtype=np.float64)
@@ -257,15 +259,16 @@ class Model:
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
         dz = (_sigmoid(z) - y) / (bsz * c)
         p = self.params
-        grads: dict[str, np.ndarray] = {}
+        grad = np.empty(self.vector.values.size)
+        grads = self.vector.views(grad)
 
         if self.config.variant == "linear":
-            grads["w"] = cache["pooled"].T @ dz
-            grads["b"] = dz.sum(axis=0)
+            grads["w"][...] = cache["pooled"].T @ dz
+            grads["b"][...] = dz.sum(axis=0)
         else:
             gamma, head_out = cache["gamma"], cache["head_out"]
             dgamma = np.einsum("bc,bhc->h", dz, head_out)
-            grads["head_gates"] = gamma * (dgamma - float(gamma @ dgamma))
+            grads["head_gates"][...] = gamma * (dgamma - float(gamma @ dgamma))
             dhead = dz[:, None, :] * gamma[None, :, None]  # (B, H, C)
 
             att_norm, cls = cache["att_norm"], cache["cls"]
@@ -280,41 +283,36 @@ class Model:
             nh = self.config.num_heads
             rows = h.reshape(-1, h.shape[2])  # (B*T', D)
             datt_rows, dcls_rows = _merge_heads(datt_logit), _merge_heads(dcls)
-            grads["att_w"] = _from_head_matrix(rows.T @ datt_rows, nh)
-            grads["att_b"] = datt_logit.sum(axis=(0, 2))
-            grads["cls_w"] = _from_head_matrix(rows.T @ dcls_rows, nh)
-            grads["cls_b"] = dcls.sum(axis=(0, 2))
+            grads["att_w"][...] = _from_head_matrix(rows.T @ datt_rows, nh)
+            grads["att_b"][...] = datt_logit.sum(axis=(0, 2))
+            grads["cls_w"][...] = _from_head_matrix(rows.T @ dcls_rows, nh)
+            grads["cls_b"][...] = dcls.sum(axis=(0, 2))
             dh = datt_rows @ _head_matrix(p["att_w"]).T
             dh += dcls_rows @ _head_matrix(p["cls_w"]).T
             dh = dh.reshape(h.shape)
 
             h1, r1, r2 = cache["h1"], cache["r1"], cache["r2"]
             dz2 = dh * (1.0 - h * h)
-            grads["enc2_w"] = r2.reshape(-1, r2.shape[2]).T @ dz2.reshape(-1, dz2.shape[2])
-            grads["enc2_b"] = dz2.sum(axis=(0, 1))
+            grads["enc2_w"][...] = r2.reshape(-1, r2.shape[2]).T @ dz2.reshape(-1, dz2.shape[2])
+            grads["enc2_b"][...] = dz2.sum(axis=(0, 1))
             dr2 = dz2 @ p["enc2_w"].T
             dh1 = dr2.reshape(h1.shape)
             dz1 = dh1 * (1.0 - h1 * h1)
-            grads["enc1_w"] = r1.reshape(-1, r1.shape[2]).T @ dz1.reshape(-1, dz1.shape[2])
-            grads["enc1_b"] = dz1.sum(axis=(0, 1))
+            grads["enc1_w"][...] = r1.reshape(-1, r1.shape[2]).T @ dz1.reshape(-1, dz1.shape[2])
+            grads["enc1_b"][...] = dz1.sum(axis=(0, 1))
 
-        if not math.isfinite(loss) or any(not np.all(np.isfinite(g)) for g in grads.values()):
+        if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise DivergenceError("non-finite loss or gradient")
-        return loss, grads
+        return loss, grad
 
     # -- parameter vector ------------------------------------------------
 
     def params_vector(self) -> "ParameterVector":
-        manifest = tuple((name, tuple(self.params[name].shape)) for name, _ in
-                         self.param_manifest(self.config))
-        flat = np.concatenate([self.params[name].ravel() for name, _ in manifest])
-        return ParameterVector(values=flat.copy(), manifest=manifest)
+        return replace(self.vector, values=self.vector.values.copy())
 
     @classmethod
     def from_vector(cls, config: ModelConfig, vec: "ParameterVector") -> "Model":
-        if vec.manifest != tuple(cls.param_manifest(config)):
-            raise CheckpointError("parameter manifest mismatch")
-        return cls(config, vec.to_dict())
+        return cls(config, replace(vec, values=vec.values.copy()))
 
 
 @dataclass
@@ -330,7 +328,7 @@ class ParameterVector:
         names = [name for name, _ in self.manifest]
         if len(set(names)) != len(names):
             raise CheckpointError(f"manifest repeats a tensor name: {names}")
-        total = sum(int(np.prod(s)) for _, s in self.manifest)
+        total = sum(math.prod(s) for _, s in self.manifest)
         if total != self.values.size:
             raise CheckpointError(
                 f"manifest covers {total} values, vector has {self.values.size}"
@@ -338,11 +336,12 @@ class ParameterVector:
         if not np.all(np.isfinite(self.values)):
             raise CheckpointError("non-finite parameter values")
 
-    def to_dict(self) -> dict[str, np.ndarray]:
+    def views(self, values: np.ndarray) -> dict[str, np.ndarray]:
+        """Each tensor of ``values``, a flat vector laid out by this manifest, as a view."""
         out, off = {}, 0
         for name, shape in self.manifest:
-            size = int(np.prod(shape))
-            out[name] = self.values[off : off + size].reshape(shape).copy()
+            size = math.prod(shape)
+            out[name] = values[off : off + size].reshape(shape)
             off += size
         return out
 
@@ -390,12 +389,13 @@ def load_external_init(
     plus the lists of loaded and re-initialized tensor names; raises if
     nothing overlaps.
     """
-    external = ParameterVector.load(path).to_dict()
+    vec = ParameterVector.load(path)
+    external = vec.views(vec.values)
     model = Model.init(config, rng)
     loaded, reinit = [], []
-    for name, _ in Model.param_manifest(config):
-        if name in external and external[name].shape == model.params[name].shape:
-            model.params[name] = external[name].astype(np.float64)
+    for name, view in model.params.items():
+        if name in external and external[name].shape == view.shape:
+            view[...] = external[name]
             loaded.append(name)
         else:
             reinit.append(name)
@@ -468,7 +468,6 @@ class TrainResult:
     log_rows: list[dict]  # epoch, iteration, lr, loss, eval_map
     eval_reports: list[EvalReport]
     eval_predictions: list[np.ndarray]  # per epoch, the (N_eval, C) scores behind eval_reports
-    final_model: Model
 
     def headline_map(self, last_k: int = 5) -> float:
         """Mean eval mAP over the last k epochs (the run's headline number)."""
@@ -541,8 +540,9 @@ def train(
     weights = make_weights(labels)
     model = init_model if init_model is not None else Model.init(model_config, stream(seed, "init"))
 
-    adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
+    params = model.vector.values
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
     sched = train_config.schedule
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
@@ -564,18 +564,17 @@ def train(
             step += 1
             lr = sched.lr(step, epoch)
             try:
-                batch_loss, grads = model.loss_and_grads(x, y)
+                batch_loss, g = model.loss_and_grads(x, y)
             except DivergenceError as err:
                 raise DivergenceError(
                     f"diverged at epoch {epoch}, iteration {step}: {err}"
                 ) from err
-            for name, g in grads.items():
-                adam_m[name] = b1 * adam_m[name] + (1 - b1) * g
-                adam_v[name] = b2 * adam_v[name] + (1 - b2) * g * g
-                m_hat = adam_m[name] / (1 - b1**step)
-                v_hat = adam_v[name] / (1 - b2**step)
-                model.params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-            if not all(np.all(np.isfinite(v)) for v in model.params.values()):
+            adam_m = b1 * adam_m + (1 - b1) * g
+            adam_v = b2 * adam_v + (1 - b2) * g * g
+            m_hat = adam_m / (1 - b1**step)
+            v_hat = adam_v / (1 - b2**step)
+            params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            if not np.all(np.isfinite(params)):
                 raise DivergenceError(
                     f"non-finite parameters at epoch {epoch}, iteration {step} "
                     f"(lr {lr:g}, loss {batch_loss:g})"
@@ -595,7 +594,6 @@ def train(
         log_rows=log_rows,
         eval_reports=eval_reports,
         eval_predictions=eval_predictions,
-        final_model=model,
     )
 
 
@@ -606,24 +604,18 @@ def grad_check(model: Model, x: np.ndarray, y: np.ndarray, step: float = 1e-5) -
     returned number is a relative error of the gradient field as a whole.
     Intended for small configs (<= 10^4 parameters).
     """
-    if model.num_params() > 10_000:
+    if model.vector.values.size > 10_000:
         raise ModelError("grad_check is for models with <= 10^4 parameters")
-    _, grads = model.loss_and_grads(x, y)
-    analytic = np.concatenate([grads[name].ravel() for name, _ in
-                               Model.param_manifest(model.config)])
+    _, analytic = model.loss_and_grads(x, y)
     numeric = np.empty_like(analytic)
-    pos = 0
-    for name, _ in Model.param_manifest(model.config):
-        tensor = model.params[name]
-        flat = tensor.ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            lp, _ = model.loss_and_grads(x, y)
-            flat[idx] = orig - step
-            lm, _ = model.loss_and_grads(x, y)
-            flat[idx] = orig
-            numeric[pos] = (lp - lm) / (2 * step)
-            pos += 1
+    flat = model.vector.values
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + step
+        lp, _ = model.loss_and_grads(x, y)
+        flat[idx] = orig - step
+        lm, _ = model.loss_and_grads(x, y)
+        flat[idx] = orig
+        numeric[idx] = (lp - lm) / (2 * step)
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
     return float(np.abs(analytic - numeric).max() / scale)

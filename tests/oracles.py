@@ -13,6 +13,8 @@
   must give byte-equal per-class values.
 - Label-repair thresholds, one class at a time from a boolean scan of its
   column. ``labelfix.make_thresholds`` must give byte-equal thresholds.
+- Training with Adam run tensor by tensor, each with its own moment arrays.
+  ``model.train``'s whole-vector Adam must give byte-equal checkpoints.
 """
 
 from __future__ import annotations
@@ -22,7 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tagkit.model import Model, ModelConfig, ParameterVector
+from tagkit.corpus import MultiLabelCorpus
+from tagkit.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    Model,
+    ModelConfig,
+    ParameterVector,
+    TrainConfig,
+    _assemble_batch,
+)
+from tagkit.rng import stream, stream_seed
+from tagkit.sampler import AugmentConfig, make_weights, plan_epoch
 
 
 class MaskBoundsError(ValueError):
@@ -152,3 +166,40 @@ def thresholds(scores: np.ndarray, labels: np.ndarray, policy: str) -> np.ndarra
             rank = max(1, math.ceil(pct / 100.0 * pos.size))  # nearest-rank
             values[k] = ranked[rank - 1]
     return values
+
+
+def per_tensor_adam_checkpoints(
+    corpus: MultiLabelCorpus,
+    model_config: ModelConfig,
+    augment_config: AugmentConfig,
+    train_config: TrainConfig,
+) -> list[ParameterVector]:
+    """The per-epoch checkpoints of ``train``, with Adam stepping each named tensor alone."""
+    seed = train_config.seed
+    labels = corpus.label_matrix()
+    weights = make_weights(labels)
+    model = Model.init(model_config, stream(seed, "init"))
+    adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
+    adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    checkpoints = []
+    step = 0
+    for epoch in range(1, train_config.epochs + 1):
+        plan = plan_epoch(
+            weights, augment_config, corpus.feature_shape, stream_seed(seed, "sampler", epoch)
+        )
+        for lo in range(0, len(plan), train_config.batch_size):
+            index = np.arange(lo, min(lo + train_config.batch_size, len(plan)))
+            x, y = _assemble_batch(corpus, labels, plan, index, augment_config.mask_value)
+            step += 1
+            lr = train_config.schedule.lr(step, epoch)
+            _, grad = model.loss_and_grads(x, y)
+            for name, g in model.vector.views(grad).items():
+                adam_m[name] = b1 * adam_m[name] + (1 - b1) * g
+                adam_v[name] = b2 * adam_v[name] + (1 - b2) * g * g
+                m_hat = adam_m[name] / (1 - b1**step)
+                v_hat = adam_v[name] / (1 - b2**step)
+                param = model.params[name]
+                param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        checkpoints.append(model.params_vector())
+    return checkpoints

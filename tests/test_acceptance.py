@@ -160,7 +160,7 @@ def test_criterion_07_gradient_correctness():
         x = rng.standard_normal((2, 16, 8))
         y = (rng.random((2, 5)) < 0.4).astype(float)
         worst = max(worst, grad_check(model, x, y))
-    n_params = Model.init(config, stream(0, "init")).num_params()
+    n_params = Model.init(config, stream(0, "init")).vector.values.size
     ok = worst < 1e-4 and n_params <= 10_000
     _report(7, ok, f"max relative gradient error over 20 points = {worst:.2e} "
                    f"({n_params} params)")
@@ -232,7 +232,8 @@ def recipe_runs():
             )
             headlines[variant].append(result.headline_map(5))
             if variant == "full":
-                full_final_preds.append(result.final_model.predict(eval_feats))
+                full_final_preds.append(
+                    Model.from_vector(model_config, result.checkpoints[-1]).predict(eval_feats))
     return headlines, full_final_preds, eval_labels
 
 

@@ -23,6 +23,7 @@ from tagkit.cli import (
     run_aggregate,
     run_enhance,
     run_train,
+    _teacher_checkpoint,
 )
 from tagkit.corpus import read_corpus
 from tagkit.metrics import evaluate
@@ -409,6 +410,19 @@ class TestEnhancePipeline:
         with pytest.raises(ConfigError, match="checkpoint"):
             run_enhance(tmp_path / "empty_run", onto, ["mean"], "both", tmp_path / "e")
 
+    def test_teacher_fallback_is_the_highest_epoch_not_the_last_name(self, tmp_path):
+        # From 1,000 epochs on, "epoch_999.ckpt" sorts after "epoch_1000.ckpt".
+        ckpt_dir = tmp_path / "run" / "checkpoints"
+        ckpt_dir.mkdir(parents=True)
+        early = ParameterVector(values=np.zeros(2), manifest=(("b", (2,)),))
+        early.save(ckpt_dir / "epoch_001.ckpt")
+        for epoch in range(2, 1000):
+            (ckpt_dir / f"epoch_{epoch:03d}.ckpt").write_bytes(
+                (ckpt_dir / "epoch_001.ckpt").read_bytes())
+        ParameterVector(values=np.ones(2), manifest=(("b", (2,)),)).save(
+            ckpt_dir / "epoch_1000.ckpt")
+        assert _teacher_checkpoint(tmp_path / "run").values.tolist() == [1.0, 1.0]
+
 
 class TestAggregateCommand:
     def test_committee_of_one_matches_member(self, tmp_path):
@@ -562,6 +576,14 @@ class TestBadInputExitCodes:
                                   "--out", str(tmp_path / "aggX")], capsys)
         assert not (tmp_path / "aggX").exists()
 
+    def test_gap_in_the_checkpoint_sequence(self, tmp_path, capsys):
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=4))
+        (run_dir / "checkpoints" / "epoch_002.ckpt").unlink()
+        (tmp_path / "m.txt").write_text(f"{run_dir}\n")
+        self.assert_config_error(["aggregate", "--manifest", str(tmp_path / "m.txt"),
+                                  "--out", str(tmp_path / "aggX")], capsys)
+        assert not (tmp_path / "aggX").exists()
+
     def test_failed_enhance_leaves_no_output_directory(self, tmp_path, capsys):
         run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
         for onto in (tmp_path / "missing.txt", tmp_path / "bad.txt"):
@@ -576,7 +598,7 @@ class TestBadInputExitCodes:
     @pytest.mark.parametrize("defect", ["blank line", "non-integer dimension",
                                         "negative dimension", "non-ASCII name",
                                         "repeated name", "unknown version",
-                                        "truncated payload"])
+                                        "truncated payload", "size overflowing int64"])
     def test_malformed_init_checkpoint_header(self, tmp_path, capsys, defect):
         config = tiny_config(tmp_path / "run", epochs=1)
         donor = Model.init(build_model_config(config), np.random.default_rng(0))
@@ -592,6 +614,9 @@ class TestBadInputExitCodes:
             "repeated name": [version, first, b"tensor enc1_w 6"],
             "unknown version": [b"TAGKIT-CKPT 12", first, second],
             "truncated payload": [version, first, second],
+            # 2**32 * 2**32 wraps to 0 in int64, and "pad" fills the 96 values it claims.
+            "size overflowing int64": [version, b"tensor enc1_w 4294967296 4294967296",
+                                       b"tensor pad 96", second],
         }[defect] + rest)
         if defect == "truncated payload":
             payload = payload[:-3]

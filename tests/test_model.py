@@ -31,7 +31,7 @@ from tagkit.model import (
 from tagkit.rng import stream
 from tagkit.sampler import AugmentConfig, plan_epoch
 
-from oracles import MaskParams, apply_mask, mixup
+from oracles import MaskParams, apply_mask, mixup, per_tensor_adam_checkpoints
 
 SMALL_ATT = ModelConfig(num_classes=5, time_frames=16, freq_bins=8,
                         num_heads=2, embed_dim=8, hidden_dim=6, time_strides=(2, 2))
@@ -49,7 +49,9 @@ def constant_logit_loss(z, y):
     """Training loss of a linear model whose logits are z for any input (zero weights, bias z)."""
     z = np.asarray(z, dtype=float)
     config = ModelConfig(num_classes=len(z), time_frames=4, freq_bins=3, variant="linear")
-    model = Model(config, {"w": np.zeros((3, len(z))), "b": z})
+    vec = ParameterVector(values=np.r_[np.zeros(3 * len(z)), z],
+                          manifest=Model.param_manifest(config))
+    model = Model.from_vector(config, vec)
     return model.loss_and_grads(np.zeros((1, 4, 3)), np.asarray(y, dtype=float))[0]
 
 
@@ -160,16 +162,16 @@ class TestGradients:
         model.params["b"][:] = 0.0
         x = np.zeros((1, 16, 8))
         y = np.zeros((1, 5))
-        _, grads = model.loss_and_grads(x, y)
-        assert np.abs(grads["b"] - 0.5 / 5).max() < 1e-15
+        _, grad = model.loss_and_grads(x, y)
+        assert np.abs(model.vector.views(grad)["b"] - 0.5 / 5).max() < 1e-15
 
         config = ModelConfig(num_classes=5, time_frames=16, freq_bins=8,
                              num_heads=1, embed_dim=8, hidden_dim=6, time_strides=(2, 2))
         att = Model.init(config, stream(11, "init"))
         for name in att.params:
             att.params[name][:] = 0.0
-        _, grads = att.loss_and_grads(x, y)
-        assert np.abs(grads["cls_b"][0] - 0.5 / 5).max() < 1e-15
+        _, grad = att.loss_and_grads(x, y)
+        assert np.abs(att.vector.views(grad)["cls_b"][0] - 0.5 / 5).max() < 1e-15
 
     def test_gradcheck_rejects_big_models(self):
         config = ModelConfig(num_classes=100, time_frames=32, freq_bins=64,
@@ -251,13 +253,14 @@ class TestHeadOracle:
         model = Model.init(config, stream(30, "init"))
         rng = np.random.default_rng(31)
         for name, value in model.params.items():  # non-zero biases and gates too
-            model.params[name] = 0.5 * rng.standard_normal(value.shape)
+            value[...] = 0.5 * rng.standard_normal(value.shape)
         x, y = random_batch(config, batch=batch, seed=32)
         if squeeze:
             x, y = x[0], y[0]
         want_z, want_grads = einsum_head_oracle(model, x, y)
         assert_rel_close(np.atleast_2d(model.forward_logits(x)), want_z)
-        _, grads = model.loss_and_grads(x, y)
+        _, grad = model.loss_and_grads(x, y)
+        grads = model.vector.views(grad)
         assert set(grads) == set(want_grads)
         for name, want in want_grads.items():
             assert_rel_close(grads[name], want)
@@ -371,6 +374,16 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="epoch"):
             train(corpus, mc, ac, bad)
 
+    @pytest.mark.parametrize("variant", ["attention", "linear"])
+    def test_checkpoints_match_per_tensor_adam_oracle(self, variant):
+        corpus, _, mc, ac, tc = tiny_training_setup(seed=7, epochs=2, variant=variant)
+        got = train(corpus, mc, ac, tc).checkpoints
+        want = per_tensor_adam_checkpoints(corpus, mc, ac, tc)
+        assert len(got) == len(want) == 2
+        for a, b in zip(got, want):
+            assert a.manifest == b.manifest
+            assert a.values.tobytes() == b.values.tobytes()
+
     def test_headline_is_mean_of_last_k(self):
         corpus, evalc, mc, ac, tc = tiny_training_setup(epochs=4)
         result = train(corpus, mc, ac, tc, eval_corpus=evalc)
@@ -467,6 +480,9 @@ class TestParameterVector:
     def test_manifest_size_mismatch_rejected(self):
         with pytest.raises(CheckpointError):
             ParameterVector(values=np.zeros(3), manifest=(("w", (2, 2)),))
+        # 2**32 * 2**32 wraps to 0 in int64; the manifest must still not cover 2 values.
+        with pytest.raises(CheckpointError, match="covers"):
+            ParameterVector(values=np.zeros(2), manifest=(("w", (2**32, 2**32)), ("b", (2,))))
 
     def test_non_finite_rejected(self):
         with pytest.raises(CheckpointError):
@@ -480,9 +496,21 @@ class TestParameterVector:
     def test_vector_dict_round_trip(self):
         model = Model.init(SMALL_ATT, stream(14, "init"))
         vec = model.params_vector()
-        rebuilt = Model(SMALL_ATT, vec.to_dict())
-        for name in model.params:
-            assert np.array_equal(model.params[name], rebuilt.params[name])
+        rebuilt = Model.from_vector(SMALL_ATT, vec)
+        for name, view in vec.views(vec.values).items():
+            assert np.array_equal(model.params[name], view)
+            assert np.array_equal(rebuilt.params[name], view)
+
+    def test_params_are_read_only_views_of_the_vector(self):
+        vec = Model.init(SMALL_ATT, stream(14, "init")).params_vector()
+        model = Model.from_vector(SMALL_ATT, vec)
+        model.params["cls_b"][1, 2] = 7.5
+        back = model.params_vector()
+        assert back.views(back.values)["cls_b"][1, 2] == 7.5
+        assert vec.views(vec.values)["cls_b"][1, 2] != 7.5  # from_vector copied its input
+        with pytest.raises(TypeError):
+            model.params["cls_b"] = np.zeros((2, 5))
+        assert model.params["cls_b"][1, 2] == 7.5
 
     def test_from_vector_is_bit_identical_and_checks_manifest(self):
         model = Model.init(SMALL_ATT, stream(14, "init"))
