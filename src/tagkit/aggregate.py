@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import evaluate
-from .model import PREDICT_BATCH, Model, ModelConfig, ModelError, ParameterVector
+from .model import Model, ModelConfig, ParameterVector
 
 
 class AggregateError(Exception):
@@ -82,19 +82,6 @@ class SweepPoint:
     prediction_avg_map: float
 
 
-def _time_means(features: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """(N, T, F) -> (N, 1, F) float64 time means, by the linear forward pass's own
-    operations on its own batches, so that no bit differs from pooling inside it."""
-    shape = (config.time_frames, config.freq_bins)
-    if features.shape[1:] != shape:
-        raise ModelError(f"input shape {features.shape[1:]} != configured {shape}")
-    pooled = np.empty((len(features), 1, config.freq_bins))
-    for lo in range(0, len(features), PREDICT_BATCH):
-        batch = np.asarray(features[lo : lo + PREDICT_BATCH], dtype=np.float64)
-        pooled[lo : lo + PREDICT_BATCH] = batch.mean(axis=1, keepdims=True)
-    return pooled
-
-
 def sweep_start_epoch(
     checkpoints: list[ParameterVector],
     config: ModelConfig,
@@ -112,7 +99,7 @@ def sweep_start_epoch(
         # The linear model reads its input only through the time mean, which no
         # checkpoint changes: pool once and predict on one-frame clips, whose
         # mean is exact.
-        eval_features = _time_means(eval_features, config)
+        eval_features = Model(config, checkpoints[0]).embed(eval_features)[:, None, :]
         config = replace(config, time_frames=1)
     starts = range(1, len(checkpoints) + 1)
     # The weight averages are scored before the member stack is filled, and the

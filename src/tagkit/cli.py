@@ -28,6 +28,7 @@ from .corpus import (CorpusError, MultiLabelCorpus, SynthSpec, generate_syntheti
 from .labelfix import (
     MODES,
     POLICIES,
+    EnhanceAudit,
     LabelFixError,
     enhance,
     enhance_eval_set,
@@ -301,20 +302,25 @@ class RunLock:
 
 
 def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
-    """Execute one training run; config.json is written once the config, init and corpora load."""
+    """Execute one training run; its directory is made once the config, init and corpora load."""
     validate_config(config)
     run_dir = Path(run_dir if run_dir is not None else config["output_dir"])
+    model_config = build_model_config(config)
+    # The corpora load first: a model sized by a manifest's shape that cannot be
+    # allocated would fail in the init with a bare MemoryError.
+    corpus, eval_corpus = build_corpora(config)
+    init_model = None
+    if config["init_path"]:
+        init_model, loaded, reinit = load_external_init(
+            model_config, config["init_path"], stream(config["seed"], "init")
+        )
+    audit = None
+    if config["enhance"] is not None:
+        corpus, audit = _apply_enhancement(config["enhance"], corpus)
     run_dir.mkdir(parents=True, exist_ok=True)
     with RunLock(run_dir):
-        model_config = build_model_config(config)
-        init_model = None
-        if config["init_path"]:
-            init_model, loaded, reinit = load_external_init(
-                model_config, config["init_path"], stream(config["seed"], "init")
-            )
-        corpus, eval_corpus = build_corpora(config)
-        if config["enhance"] is not None:
-            corpus = _apply_enhancement(config["enhance"], corpus, run_dir)
+        if audit is not None:
+            audit.write_csv(run_dir / "enhance_audit.csv", corpus.class_names)
         snapshot = json.dumps(config, indent=2, sort_keys=True)
         (run_dir / "config.json").write_text(snapshot + "\n")
         if init_model is not None:
@@ -383,8 +389,9 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
     return run_dir
 
 
-def _apply_enhancement(enh: dict, corpus: MultiLabelCorpus, run_dir: Path) -> MultiLabelCorpus:
-    """Repair the training labels with a teacher run before training starts."""
+def _apply_enhancement(enh: dict,
+                       corpus: MultiLabelCorpus) -> tuple[MultiLabelCorpus, EnhanceAudit]:
+    """Training labels repaired by a teacher run before training starts, and their audit."""
     teacher_run = Path(enh["teacher_run"])
     _, teacher_config = _load_run(teacher_run)
     teacher = Model.from_vector(teacher_config, _teacher_checkpoint(teacher_run))
@@ -394,8 +401,7 @@ def _apply_enhancement(enh: dict, corpus: MultiLabelCorpus, run_dir: Path) -> Mu
     thresholds = make_thresholds(scores, labels, enh.get("policy", "mean"))
     enhanced, audit = enhance(labels, scores, onto, thresholds,
                               mode=enh.get("mode", "both"), strict=False)
-    audit.write_csv(run_dir / "enhance_audit.csv", corpus.class_names)
-    return corpus.with_labels(enhanced)
+    return corpus.with_labels(enhanced), audit
 
 
 def _headline_for_variant(summary: dict, removed: set[str]) -> float:

@@ -14,6 +14,7 @@ at load; longer payloads are a shape error.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -312,20 +313,28 @@ def read_corpus(path: str | Path) -> MultiLabelCorpus:
         raise MalformedManifestError(
             f"manifest declares {declared_n} samples, label index has {len(ids)}"
         )
-    features = np.zeros((len(ids), *shape), dtype=np.float32)
+    try:
+        # Little-endian like the payloads, so they are read in place; on a
+        # little-endian host this is plain float32.
+        features = np.zeros((len(ids), *shape), dtype="<f4")
+    except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
+        raise MalformedManifestError(
+            f"feature_shape {shape} of {len(ids)} samples does not fit in memory"
+        ) from None
     for sid, out in zip(ids, features):
         _read_payload(path / "features" / f"{sid}.f32", out, sid)
     return MultiLabelCorpus(ids, features, labels, names)
 
 
 def _read_payload(file: Path, out: np.ndarray, sid: str) -> None:
-    """Fill the zeroed row ``out``; payloads short in time keep the zero padding."""
+    """Read into the zeroed row ``out``; payloads short in time keep the zero padding."""
     if not file.is_file():
         raise ShapeMismatchError(f"sample {sid!r}: missing feature payload {file}")
-    flat = np.fromfile(file, dtype="<f4")
-    trailing = int(np.prod(out.shape[1:]))
-    if flat.size > out.size or flat.size % trailing != 0:
-        raise ShapeMismatchError(
-            f"sample {sid!r}: payload has {flat.size} values, declared shape {out.shape}"
-        )
-    out.reshape(-1, trailing)[: flat.size // trailing] = flat.reshape(-1, trailing)
+    with open(file, "rb") as fh:
+        nbytes = os.fstat(fh.fileno()).st_size
+        frame = out[0].nbytes  # one time frame
+        if nbytes > out.nbytes or nbytes % frame != 0:
+            raise ShapeMismatchError(f"sample {sid!r}: payload has {nbytes} bytes, "
+                                     f"declared shape {out.shape} of float32")
+        if fh.readinto(out.reshape(-1).view(np.uint8)[:nbytes]) != nbytes:
+            raise ShapeMismatchError(f"sample {sid!r}: payload {file} shrank while read")

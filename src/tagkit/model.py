@@ -73,6 +73,9 @@ class ModelConfig:
 
 
 PREDICT_BATCH = 256
+# Float32 clips become float64 work this many bytes at a time, a group that
+# stays in a core's L2 cache; at least one clip per group.
+CHUNK_BYTES = 1 << 21
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -177,25 +180,48 @@ class Model:
         h2 = np.tanh(r2 @ p["enc2_w"] + p["enc2_b"])
         return r1, h1, r2, h2
 
-    def _forward_full(self, x: np.ndarray) -> dict:
-        """Forward pass keeping every intermediate needed by the backward pass."""
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x[None]
-        if x.shape[1:] != (self.config.time_frames, self.config.freq_bins):
-            raise ModelError(
-                f"input shape {x.shape[1:]} != configured "
-                f"{(self.config.time_frames, self.config.freq_bins)}"
-            )
+    def _check_shape(self, x: np.ndarray) -> None:
+        want = (self.config.time_frames, self.config.freq_bins)
+        if x.shape[1:] != want:
+            raise ModelError(f"input shape {x.shape[1:]} != configured {want}")
+
+    def embed(self, features: np.ndarray) -> np.ndarray:
+        """(N, T, F) clips -> the head's input: time means (N, F) for the linear
+        variant, encoder frames (N, T', D) for attention.
+
+        Clips are upcast to float64 CHUNK_BYTES at a time, never a whole batch
+        at once. The encoder's stacked matmul runs one gemm per clip, so the
+        bits do not depend on how clips are grouped.
+        """
+        self._check_shape(features)
+        cfg = self.config
+        if cfg.variant == "linear":
+            width = (cfg.freq_bins,)
+        else:
+            width = (cfg.time_frames // math.prod(cfg.time_strides), cfg.embed_dim)
+        out = np.empty((len(features), *width))
+        step = max(1, CHUNK_BYTES // (8 * cfg.time_frames * cfg.freq_bins))
+        for lo in range(0, len(features), step):
+            x = np.asarray(features[lo : lo + step], dtype=np.float64)
+            if cfg.variant == "linear":
+                x.mean(axis=1, out=out[lo : lo + step])
+            else:
+                out[lo : lo + step] = self._encode(x)[3]
+        return out
+
+    def _head(self, inputs: np.ndarray) -> dict:
+        """Logits from ``embed``'s output, keeping what the backward pass needs.
+
+        The head's 2-D matmuls are bit-sensitive to their row count, so
+        callers pass whole batches (PREDICT_BATCH clips in ``predict``).
+        """
         p = self.params
         if self.config.variant == "linear":
-            pooled = x.mean(axis=1)  # (B, F)
-            logits = pooled @ p["w"] + p["b"]
-            cache = {"pooled": pooled, "logits": logits, "att_norm": None}
+            logits = inputs @ p["w"] + p["b"]
+            cache = {"pooled": inputs, "logits": logits, "att_norm": None}
         else:
-            r1, h1, r2, h = self._encode(x)
-            bsz, nh = x.shape[0], self.config.num_heads
+            h = inputs
+            bsz, nh = h.shape[0], self.config.num_heads
             rows = h.reshape(-1, h.shape[2])  # (B*T', D)
             att_logit = (_split_heads(rows @ _head_matrix(p["att_w"]), bsz, nh)
                          + p["att_b"][None, :, None, :])
@@ -210,14 +236,26 @@ class Model:
             gamma /= gamma.sum()
             logits = np.einsum("bhc,h->bc", head_out, gamma)
             cache = {
-                "r1": r1, "h1": h1, "r2": r2, "h": h,
-                "att": att, "att_sum": att_sum, "att_norm": att_norm,
-                "cls": cls, "head_out": head_out, "gamma": gamma,
-                "logits": logits,
+                "h": h, "att": att, "att_sum": att_sum, "att_norm": att_norm,
+                "cls": cls, "head_out": head_out, "gamma": gamma, "logits": logits,
             }
-        cache["squeeze"] = squeeze
-        if not np.all(np.isfinite(cache["logits"])):
+        if not np.all(np.isfinite(logits)):
             raise DivergenceError("non-finite activations in forward pass")
+        return cache
+
+    def _forward_full(self, x: np.ndarray) -> dict:
+        """Forward pass over one whole batch, keeping what the backward pass needs."""
+        x = np.asarray(x, dtype=np.float64)
+        squeeze = x.ndim == 2
+        if squeeze:
+            x = x[None]
+        self._check_shape(x)
+        if self.config.variant == "linear":
+            cache = self._head(x.mean(axis=1))  # (B, F)
+        else:
+            r1, h1, r2, h = self._encode(x)
+            cache = dict(self._head(h), r1=r1, h1=h1, r2=r2)
+        cache["squeeze"] = squeeze
         return cache
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -239,10 +277,11 @@ class Model:
         return cache["logits"][0] if cache["squeeze"] else cache["logits"]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """(N, T, F) -> (N, C) probability matrix, in batches of PREDICT_BATCH clips."""
+        """(N, T, F) -> (N, C) probability matrix, PREDICT_BATCH clips per head pass."""
         out = np.empty((len(features), self.config.num_classes))
         for lo in range(0, len(features), PREDICT_BATCH):
-            out[lo : lo + PREDICT_BATCH], _ = self.forward(features[lo : lo + PREDICT_BATCH])
+            batch = self.embed(features[lo : lo + PREDICT_BATCH])
+            out[lo : lo + PREDICT_BATCH] = _sigmoid(self._head(batch)["logits"])
         return out
 
     # -- backward --------------------------------------------------------
@@ -477,14 +516,6 @@ class TrainResult:
         return float(np.mean([r.map for r in tail]))
 
 
-def _gather_rows(features: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """float64 ``features[rows]``, cast row by row: no float32 batch copy to upcast after."""
-    out = np.empty((len(rows), *features.shape[1:]))
-    for r, i in enumerate(rows):
-        out[r] = features[i]
-    return out
-
-
 def _assemble_batch(
     corpus: MultiLabelCorpus,
     labels: np.ndarray,
@@ -495,30 +526,39 @@ def _assemble_batch(
     """Features and soft labels of plan draws ``index``: mixup, then time/frequency masks.
 
     Bit-identical to mixing and masking each draw on its own; plan_epoch
-    guarantees the masks fit the feature shape.
+    guarantees the masks fit the feature shape. Rows are gathered, upcast,
+    mixed and masked CHUNK_BYTES at a time, while they are still in cache.
     """
-    primary = plan.primary[index]
-    x = _gather_rows(corpus.features, primary)
+    features = corpus.features
+    primary, partner = plan.primary[index], plan.partner[index]
+    lam, mix = plan.mix_lambda[index], plan.is_mixup[index]
     y = labels[primary].astype(np.float64)
-    mix = plan.is_mixup[index]
     if mix.any():
-        partner = plan.partner[index][mix]
-        lam = plan.mix_lambda[index][mix]
-        # In place: at large clip shapes every extra batch-sized temporary
-        # costs a pass over memory that no longer fits in cache.
-        mixed = x[mix]
-        mixed *= lam[:, None, None]
-        xj = _gather_rows(corpus.features, partner)
-        xj *= (1.0 - lam)[:, None, None]
-        mixed += xj
-        x[mix] = mixed
-        y[mix] = lam[:, None] * y[mix] + (1.0 - lam)[:, None] * labels[partner]
+        lm = lam[mix][:, None]
+        y[mix] = lm * y[mix] + (1.0 - lm) * labels[partner[mix]]
+    x = np.empty((len(index), *features.shape[1:]))
     t = np.arange(x.shape[1])
     f = np.arange(x.shape[2])
     t0, tl = plan.time_off[index][:, None], plan.time_len[index][:, None]
     f0, fl = plan.freq_off[index][:, None], plan.freq_len[index][:, None]
-    x[(t >= t0) & (t < t0 + tl)] = mask_value  # (B, T) rows
-    np.copyto(x, mask_value, where=((f >= f0) & (f < f0 + fl))[:, None, :])  # (B, F) columns
+    time_rows = (t >= t0) & (t < t0 + tl)  # (B, T)
+    freq_cols = ((f >= f0) & (f < f0 + fl))[:, None, :]  # (B, 1, F)
+    step = max(1, CHUNK_BYTES // (8 * math.prod(x.shape[1:])))
+    for lo in range(0, len(index), step):
+        part = slice(lo, lo + step)
+        xc = x[part]
+        xc[...] = features[primary[part]]
+        m = mix[part]
+        if m.any():
+            lc = lam[part][m][:, None, None]
+            mixed = xc[m]
+            mixed *= lc
+            xj = features[partner[part][m]].astype(np.float64)
+            xj *= 1.0 - lc
+            mixed += xj
+            xc[m] = mixed
+        xc[time_rows[part]] = mask_value
+        np.copyto(xc, mask_value, where=freq_cols[part])
     return x, y
 
 

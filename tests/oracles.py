@@ -8,6 +8,9 @@
   maskings of the same matrix.
 - The mean of committee members' pre-sigmoid logits, which for the linear
   model variant equals the logits of the weight-averaged model.
+- Prediction and time-mean pooling with each PREDICT_BATCH slice of clips
+  upcast to float64 whole. ``Model.predict`` and ``Model.embed``, which
+  upcast a few clips at a time, must give byte-equal results.
 - Per-class AP and AUC, one class at a time: two stable sorts of each
   column, one for AP and one for the AUC midranks. ``metrics.evaluate``
   must give byte-equal per-class values.
@@ -29,6 +32,7 @@ from tagkit.model import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    PREDICT_BATCH,
     Model,
     ModelConfig,
     ParameterVector,
@@ -109,6 +113,24 @@ def mean_logits(
         [Model.from_vector(config, ck).forward_logits(eval_features) for ck in checkpoints]
     )
     return stacked.mean(axis=0)
+
+
+def full_batch_predict(model: Model, features: np.ndarray) -> np.ndarray:
+    """(N, C) probabilities, each PREDICT_BATCH slice upcast whole and run through ``forward``."""
+    out = np.empty((len(features), model.config.num_classes))
+    for lo in range(0, len(features), PREDICT_BATCH):
+        batch = np.asarray(features[lo : lo + PREDICT_BATCH], dtype=np.float64)
+        out[lo : lo + PREDICT_BATCH], _ = model.forward(batch)
+    return out
+
+
+def full_batch_time_means(features: np.ndarray) -> np.ndarray:
+    """(N, T, F) -> (N, 1, F) float64 time means, each PREDICT_BATCH slice upcast whole."""
+    pooled = np.empty((len(features), 1, features.shape[2]))
+    for lo in range(0, len(features), PREDICT_BATCH):
+        batch = np.asarray(features[lo : lo + PREDICT_BATCH], dtype=np.float64)
+        pooled[lo : lo + PREDICT_BATCH] = batch.mean(axis=1, keepdims=True)
+    return pooled
 
 
 def per_class_metrics(predictions: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -624,7 +624,41 @@ class TestBadInputExitCodes:
         config_file = tmp_path / "c.json"
         config_file.write_text(json.dumps({**config, "init_path": str(tmp_path / "init.ckpt")}))
         self.assert_config_error(["train", "--config", str(config_file)], capsys)
-        assert not (tmp_path / "run" / "config.json").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_feature_shape_too_big_to_allocate(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "c"
+        assert main(["synth", "--classes", "4", "--samples", "24", "--time-frames", "16",
+                     "--freq-bins", "8", "--out", str(corpus_dir)]) == 0
+        config = {**tiny_config(tmp_path / "run", epochs=1),
+                  "corpus": {"path": str(corpus_dir)}, "eval_corpus": {"path": str(corpus_dir)}}
+        run_dir = run_train(config)
+        onto = tmp_path / "onto.txt"
+        write_ontology(Ontology.from_edges(4, [(0, 1)]), onto,
+                       [f"class{k:03d}" for k in range(4)])
+        (tmp_path / "m.txt").write_text(f"{run_dir}\n")
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps({**config, "output_dir": str(tmp_path / "run2")}))
+        # With an init checkpoint, the model must not be sized by the manifest first.
+        init_file = tmp_path / "c_init.json"
+        init_file.write_text(json.dumps({**config, "output_dir": str(tmp_path / "run2"),
+                                         "init_path": str(run_dir / "weight_avg.ckpt")}))
+        manifest = corpus_dir / "manifest.txt"
+        # The model of this shape is too big for numpy to allocate as well, so even
+        # code that sized a model first would fail at once instead of filling memory.
+        manifest.write_text(manifest.read_text().replace(
+            "feature_shape 16 8", "feature_shape 4 4611686018427387904"))
+        capsys.readouterr()
+        for argv in (["train", "--config", str(config_file)],
+                     ["train", "--config", str(init_file)],
+                     ["eval", "--run", str(run_dir), "--corpus", str(corpus_dir)],
+                     ["enhance", "--teacher-run", str(run_dir), "--ontology", str(onto),
+                      "--out", str(tmp_path / "enh")],
+                     ["aggregate", "--manifest", str(tmp_path / "m.txt"),
+                      "--corpus", str(corpus_dir), "--out", str(tmp_path / "agg")]):
+            self.assert_config_error(argv, capsys)
+        for out in ("run2", "enh", "agg"):
+            assert not (tmp_path / out).exists()
 
     def test_seed_must_be_a_non_negative_integer(self, tmp_path, capsys):
         config_file = tmp_path / "c.json"

@@ -165,11 +165,53 @@ class TestDiskFormat:
         corpus = tiny_corpus()
         write_corpus(corpus, tmp_path / "c")
         np.ones(2 * 3, dtype="<f4").tofile(tmp_path / "c" / "features" / "a.f32")
+        (tmp_path / "c" / "features" / "c.f32").write_bytes(b"")  # no frames at all
         back = read_corpus(tmp_path / "c")
         feats = back.features[0]
         assert feats.shape == (4, 3)
         assert np.array_equal(feats[:2], np.ones((2, 3)))
         assert np.array_equal(feats[2:], np.zeros((2, 3)))
+        assert back.features[1].tobytes() == corpus.features[1].astype("<f4").tobytes()
+        assert np.array_equal(back.features[2], np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("defect", ["partial value", "partial frame", "too long",
+                                        "missing", "directory"])
+    def test_bad_payload_rejected(self, tmp_path, defect):
+        corpus = tiny_corpus()
+        write_corpus(corpus, tmp_path / "c")
+        payload = tmp_path / "c" / "features" / "b.f32"
+        good = payload.read_bytes()
+        if defect == "partial value":
+            payload.write_bytes(good[:-10])  # three frames and half a value
+        elif defect == "partial frame":
+            payload.write_bytes(good[:-4])  # 11 values: not whole frames of 3
+        elif defect == "too long":
+            payload.write_bytes(good + good[:12])  # five frames where four are declared
+        else:
+            payload.unlink()
+            if defect == "directory":
+                payload.mkdir()
+        with pytest.raises(ShapeMismatchError, match="'b'"):
+            read_corpus(tmp_path / "c")
+
+    @pytest.mark.parametrize("shape", [(1, 1), (9,), (5, 7), (3, 4, 2)])
+    def test_round_trip_is_byte_equal_at_any_shape(self, tmp_path, shape):
+        rng = np.random.default_rng(12)
+        features = rng.standard_normal((5, *shape)).astype(np.float32)
+        corpus = MultiLabelCorpus([f"x{i}" for i in range(5)], features,
+                                  np.eye(2, dtype=np.uint8)[[0, 1, 0, 1, 1]], ["A", "B"])
+        write_corpus(corpus, tmp_path / "c")
+        back = read_corpus(tmp_path / "c")
+        assert back.features.shape == features.shape
+        assert back.features.tobytes() == features.tobytes()
+
+    def test_feature_shape_too_big_to_allocate(self, tmp_path):
+        write_corpus(tiny_corpus(), tmp_path / "c")
+        manifest = tmp_path / "c" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(
+            "feature_shape 4 3", "feature_shape 4294967296 4294967296"))
+        with pytest.raises(MalformedManifestError, match="does not fit in memory"):
+            read_corpus(tmp_path / "c")
 
     def test_malformed_manifest(self, tmp_path):
         corpus = tiny_corpus()

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import tagkit
-from tagkit.corpus import SynthSpec, generate_synthetic
+import tagkit.model
+from tagkit.corpus import MultiLabelCorpus, SynthSpec, generate_synthetic
 from tagkit.model import (
     CheckpointError,
     DivergenceError,
@@ -31,11 +33,14 @@ from tagkit.model import (
 from tagkit.rng import stream
 from tagkit.sampler import AugmentConfig, plan_epoch
 
-from oracles import MaskParams, apply_mask, mixup, per_tensor_adam_checkpoints
+from oracles import (MaskParams, apply_mask, full_batch_predict, full_batch_time_means,
+                     mixup, per_tensor_adam_checkpoints)
 
 SMALL_ATT = ModelConfig(num_classes=5, time_frames=16, freq_bins=8,
                         num_heads=2, embed_dim=8, hidden_dim=6, time_strides=(2, 2))
 SMALL_LIN = ModelConfig(num_classes=5, time_frames=16, freq_bins=8, variant="linear")
+# The clip shape of PSLA's 10 s AudioSet log-mels: one clip is 1.08 MB in float64.
+PSLA_CLIP = (1056, 128)
 
 
 def random_batch(config, batch=3, seed=0):
@@ -141,6 +146,61 @@ class TestForward:
         probs, att = model.forward(x)
         assert att is None
         assert probs.shape == (2, 5)
+
+
+class TestChunkedInputStage:
+    """``predict`` upcasts a few clips at a time; the bits must be those of whole batches."""
+
+    @pytest.mark.parametrize("config", [SMALL_ATT, SMALL_LIN], ids=["attention", "linear"])
+    @pytest.mark.parametrize("clips_per_chunk", [1, 3, None])  # None: the default, >= a batch
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_predict_matches_full_batch_forward(self, monkeypatch, config, clips_per_chunk,
+                                                dtype):
+        clip_bytes = 8 * config.time_frames * config.freq_bins
+        if clips_per_chunk is not None:
+            monkeypatch.setattr(tagkit.model, "CHUNK_BYTES", clips_per_chunk * clip_bytes)
+        else:
+            assert tagkit.model.CHUNK_BYTES // clip_bytes >= tagkit.model.PREDICT_BATCH
+        model = Model.init(config, stream(40, "init"))
+        # 301 clips: two head batches, and neither 3 nor 256 divides the count.
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((301, config.time_frames, config.freq_bins)).astype(dtype)
+        assert model.predict(x).tobytes() == full_batch_predict(model, x).tobytes()
+        assert model.predict(x[:0]).shape == (0, config.num_classes)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (4, 1), (1, 5), (7, 3)])
+    @pytest.mark.parametrize("clips_per_chunk", [3, None])
+    def test_time_means_match_the_full_batch_loop(self, monkeypatch, shape, clips_per_chunk):
+        if clips_per_chunk is not None:
+            clip_bytes = 8 * math.prod(shape)
+            monkeypatch.setattr(tagkit.model, "CHUNK_BYTES", clips_per_chunk * clip_bytes)
+        config = ModelConfig(num_classes=3, time_frames=shape[0], freq_bins=shape[1],
+                             variant="linear")
+        model = Model.init(config, stream(42, "init"))
+        rng = np.random.default_rng(43)
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal((600, *shape)).astype(dtype)
+            pooled = model.embed(x)[:, None, :]
+            assert pooled.tobytes() == full_batch_time_means(x).tobytes()
+
+    def test_wrong_clip_shape_rejected(self):
+        with pytest.raises(ModelError, match="input shape"):
+            Model.init(SMALL_LIN, stream(44, "init")).predict(np.zeros((3, 16, 9), np.float32))
+
+    @pytest.mark.parametrize("variant", ["attention", "linear"])
+    def test_predict_memory_stays_far_below_one_float64_batch(self, variant):
+        config = ModelConfig(num_classes=10, time_frames=PSLA_CLIP[0], freq_bins=PSLA_CLIP[1],
+                             variant=variant)
+        model = Model.init(config, stream(45, "init"))
+        x = np.random.default_rng(46).standard_normal((32, *PSLA_CLIP)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            probs = model.predict(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * x.size / 4
+        assert probs.tobytes() == full_batch_predict(model, x).tobytes()
 
 
 class TestGradients:
@@ -466,6 +526,42 @@ class TestAssembleBatch:
             want_x, want_y = per_sample_batch(corpus, labels, plan, index, mask_value)
             assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
             assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes()
+
+    def test_large_clips_in_chunks_smaller_than_the_batch(self, monkeypatch):
+        corpus = generate_synthetic(SynthSpec(num_classes=3, num_samples=12, imbalance_ratio=2,
+                                              seed=36, feature_shape=PSLA_CLIP))
+        labels = corpus.label_matrix()
+        plan = plan_epoch(np.ones(len(corpus)), AugmentConfig(mixup_rate=0.5),
+                          corpus.feature_shape, 37)
+        assert plan.is_mixup.any() and not plan.is_mixup.all()
+        assert tagkit.model.CHUNK_BYTES // (8 * math.prod(PSLA_CLIP)) == 1
+        for index in (np.arange(10), np.arange(10, len(plan))):
+            x, y = _assemble_batch(corpus, labels, plan, index, -1.5)
+            want_x, want_y = per_sample_batch(corpus, labels, plan, index, -1.5)
+            assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+        # Three clips per chunk: the last chunk of a 10-draw batch is partial.
+        monkeypatch.setattr(tagkit.model, "CHUNK_BYTES", 3 * 8 * math.prod(PSLA_CLIP))
+        x, y = _assemble_batch(corpus, labels, plan, np.arange(10), 0.0)
+        want_x, want_y = per_sample_batch(corpus, labels, plan, np.arange(10), 0.0)
+        assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+
+    def test_temporaries_stay_below_half_a_batch(self):
+        rng = np.random.default_rng(38)
+        n = 40
+        features = rng.standard_normal((n, *PSLA_CLIP)).astype(np.float32)
+        labels = np.eye(4, dtype=np.uint8)[np.arange(n) % 4]
+        corpus = MultiLabelCorpus([f"s{i}" for i in range(n)], features, labels,
+                                  ["a", "b", "c", "d"])
+        plan = plan_epoch(np.ones(n), AugmentConfig(mixup_rate=0.5), PSLA_CLIP, 39)
+        index = np.arange(32)
+        tracemalloc.start()
+        try:
+            x, y = _assemble_batch(corpus, labels, plan, index, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.is_mixup[index].sum() >= 8
+        assert peak - x.nbytes - y.nbytes < x.nbytes / 2
 
 
 class TestParameterVector:
