@@ -1,9 +1,8 @@
 """Experiment runner: config-driven train/eval/enhance/aggregate/ablate pipelines.
 
-A run directory is self-describing: the config snapshot (plus its hash),
-per-epoch checkpoints, the train log, per-epoch eval reports, the
-weight-averaged checkpoint, and the checkpoint-ensemble report all live
-inside it, so evaluation can be reproduced from the artifacts alone.
+A run directory (``rundir`` owns its layout) is self-describing: its config
+snapshot, per-epoch models and reports, weight average and ensemble report
+reproduce its evaluation from the artifacts alone.
 
 Exit codes: 0 success, 2 config/input error, 3 numerical failure.
 """
@@ -15,7 +14,6 @@ import copy
 import csv
 import hashlib
 import json
-import os
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -23,31 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregate as agg
+from . import rundir
 from .corpus import (CorpusError, MultiLabelCorpus, SynthSpec, generate_synthetic, read_corpus,
                      read_labels, read_manifest, write_corpus, write_labels)
-from .labelfix import (
-    MODES,
-    POLICIES,
-    EnhanceAudit,
-    LabelFixError,
-    enhance,
-    enhance_eval_set,
-    make_thresholds,
-)
-from .metrics import EvalReport, MetricError, evaluate
-from .model import (
-    DivergenceError,
-    LRSchedule,
-    Model,
-    ModelConfig,
-    ModelError,
-    ParameterVector,
-    TrainConfig,
-    load_external_init,
-    train,
-)
+from .labelfix import (MODES, POLICIES, EnhanceAudit, LabelFixError, enhance, enhance_eval_set,
+                       make_thresholds)
+from .metrics import MetricError, evaluate
+from .model import (DivergenceError, LRSchedule, Model, ModelConfig, ModelError, TrainConfig,
+                    load_external_init, train)
 from .ontology import OntologyError, read_ontology
 from .rng import stream
+from .rundir import ConfigError
 from .sampler import AugmentConfig, SamplerError, make_weights, simulate_coverage
 
 ABLATION_TOGGLES = (
@@ -59,10 +43,6 @@ ABLATION_TOGGLES = (
     "ensemble",
     "weight-avg",
 )
-
-
-class ConfigError(Exception):
-    pass
 
 
 # -- config ----------------------------------------------------------------
@@ -166,10 +146,6 @@ def validate_config(config: dict, source: str = "<dict>") -> None:
             raise ConfigError(f"{source}: enhance.ontology does not exist: {enh['ontology']}")
         if "teacher_run" not in enh:
             raise ConfigError(f"{source}: enhance requires a teacher_run directory")
-        if not (Path(enh["teacher_run"]) / "config.json").is_file():
-            raise ConfigError(
-                f"{source}: enhance.teacher_run is not a run directory: {enh['teacher_run']}"
-            )
         if enh.get("policy", "mean") not in POLICIES:
             raise ConfigError(f"{source}: enhance.policy must be one of {POLICIES}")
         if enh.get("mode", "both") not in MODES:
@@ -281,26 +257,6 @@ def build_train_config(config: dict) -> TrainConfig:
 # -- run directory workflow --------------------------------------------------
 
 
-class RunLock:
-    """One process owns a run directory at a time."""
-
-    def __init__(self, run_dir: Path):
-        self.path = run_dir / "lock"
-
-    def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(f"run directory is locked (stale lock? remove {self.path})")
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
-        return self
-
-    def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
-        return False
-
-
 def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
     """Execute one training run; its directory is made once the config, init and corpora load."""
     validate_config(config)
@@ -309,83 +265,51 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
     # The corpora load first: a model sized by a manifest's shape that cannot be
     # allocated would fail in the init with a bare MemoryError.
     corpus, eval_corpus = build_corpora(config)
-    init_model = None
+    init_model = init_report = None
     if config["init_path"]:
         init_model, loaded, reinit = load_external_init(
             model_config, config["init_path"], stream(config["seed"], "init")
         )
+        init_report = {"loaded": loaded, "reinitialized": reinit}
     audit = None
     if config["enhance"] is not None:
         corpus, audit = _apply_enhancement(config["enhance"], corpus)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    with RunLock(run_dir):
-        if audit is not None:
-            audit.write_csv(run_dir / "enhance_audit.csv", corpus.class_names)
-        snapshot = json.dumps(config, indent=2, sort_keys=True)
-        (run_dir / "config.json").write_text(snapshot + "\n")
-        if init_model is not None:
-            (run_dir / "init_report.json").write_text(
-                json.dumps({"loaded": loaded, "reinitialized": reinit}, indent=2) + "\n"
-            )
-        augment_config = build_augment_config(config)
-        train_config = build_train_config(config)
+    rundir.create(run_dir, config, init_report, audit, corpus.class_names)
+    train_config = build_train_config(config)
 
-        result = train(
-            corpus, model_config, augment_config, train_config,
-            eval_corpus=eval_corpus, init_model=init_model,
+    result = train(
+        corpus, model_config, build_augment_config(config), train_config,
+        eval_corpus=eval_corpus, init_model=init_model,
+    )
+
+    summary = {
+        "config_hash": config_hash(config),
+        "epochs": train_config.epochs,
+        "num_params": result.checkpoints[-1].values.size,
+        "per_epoch_map": [r.map for r in result.eval_reports],
+    }
+    averaged = None
+    if eval_corpus is not None:
+        eval_labels = eval_corpus.label_matrix()
+        start = config["weight_avg_start"]
+        if start is None:
+            start = train_config.schedule.averaging_start_epoch(train_config.epochs)
+        start = min(start, train_config.epochs)
+        wa_vec = agg.average_weights(result.checkpoints, start)
+        wa_report = evaluate(
+            Model.from_vector(model_config, wa_vec).predict(eval_corpus.features), eval_labels
         )
-
-        ckpt_dir = run_dir / "checkpoints"
-        ckpt_dir.mkdir(exist_ok=True)
-        for epoch, ck in enumerate(result.checkpoints, start=1):
-            ck.save(ckpt_dir / f"epoch_{epoch:03d}.ckpt")
-
-        with open(run_dir / "train_log.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["epoch", "iteration", "lr", "loss", "eval_map"])
-            writer.writeheader()
-            for row in result.log_rows:
-                writer.writerow({**{"eval_map": ""}, **row})
-
-        eval_dir = run_dir / "eval"
-        eval_dir.mkdir(exist_ok=True)
-        class_counts = corpus.labels.sum(axis=0)
-        for epoch, report in enumerate(result.eval_reports, start=1):
-            report.write_json(eval_dir / f"epoch_{epoch:03d}.json")
-            report.write_class_csv(eval_dir / f"epoch_{epoch:03d}.csv",
-                                   corpus.class_names, class_counts)
-
-        summary = {
-            "config_hash": config_hash(config),
-            "epochs": train_config.epochs,
-            "num_params": result.checkpoints[-1].values.size,
-            "per_epoch_map": [r.map for r in result.eval_reports],
-        }
-        if eval_corpus is not None:
-            eval_feats = eval_corpus.features
-            eval_labels = eval_corpus.label_matrix()
-
-            start = config["weight_avg_start"]
-            if start is None:
-                start = train_config.schedule.averaging_start_epoch(train_config.epochs)
-            start = min(start, train_config.epochs)
-            wa_vec = agg.average_weights(result.checkpoints, start)
-            wa_vec.save(run_dir / "weight_avg.ckpt")
-            wa_report = evaluate(
-                Model.from_vector(model_config, wa_vec).predict(eval_feats), eval_labels
-            )
-            wa_report.write_json(eval_dir / "weight_avg.json")
-
-            committee = agg.Committee(result.eval_predictions)
-            ens_report = evaluate(agg.ensemble_mean(committee), eval_labels)
-            ens_report.write_json(eval_dir / "checkpoint_ensemble.json")
-
-            summary.update(
-                headline_map=result.headline_map(train_config.report_last_k),
-                weight_avg_start=start,
-                weight_avg_map=wa_report.map,
-                ensemble_map=ens_report.map,
-            )
-        (run_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        ens_report = evaluate(agg.ensemble_mean(agg.Committee(result.eval_predictions)),
+                              eval_labels)
+        averaged = (wa_vec, wa_report, ens_report)
+        summary.update(
+            headline_map=result.headline_map(train_config.report_last_k),
+            weight_avg_start=start,
+            weight_avg_map=wa_report.map,
+            ensemble_map=ens_report.map,
+        )
+    rundir.finish(run_dir, result, corpus.class_names, corpus.labels.sum(axis=0), summary,
+                  averaged)
     return run_dir
 
 
@@ -394,7 +318,7 @@ def _apply_enhancement(enh: dict,
     """Training labels repaired by a teacher run before training starts, and their audit."""
     teacher_run = Path(enh["teacher_run"])
     _, teacher_config = _load_run(teacher_run)
-    teacher = Model.from_vector(teacher_config, _teacher_checkpoint(teacher_run))
+    teacher = Model.from_vector(teacher_config, rundir.load_checkpoint(teacher_run))
     onto = read_ontology(enh["ontology"], corpus.class_names)
     labels = corpus.label_matrix()
     scores = teacher.predict(corpus.features)
@@ -453,28 +377,19 @@ def run_ablation(
         variant_config = copy.deepcopy(config)
         for t in removed:
             variant_config = apply_toggle(variant_config, t)
-        headlines, last5, wa, ens = [], [], [], []
+        summaries = []
         for s in range(num_seeds):
             run_config = copy.deepcopy(variant_config)
             run_config["seed"] = config["seed"] + s
-            run_path = out_dir / name / f"seed_{run_config['seed']}"
-            run_config["output_dir"] = str(run_path)
-            run_train(run_config)
-            summary = json.loads((run_path / "summary.json").read_text())
-            headlines.append(_headline_for_variant(summary, removed))
-            last5.append(summary.get("headline_map"))
-            wa.append(summary.get("weight_avg_map"))
-            ens.append(summary.get("ensemble_map"))
-        rows.append(
-            {
-                "variant": name,
-                "map_mean": float(np.mean(headlines)),
-                "map_sd": float(np.std(headlines)),
-                "last_k_map_mean": float(np.mean(last5)),
-                "weight_avg_map_mean": float(np.mean(wa)),
-                "ensemble_map_mean": float(np.mean(ens)),
-            }
-        )
+            run_config["output_dir"] = str(out_dir / name / f"seed_{run_config['seed']}")
+            summaries.append(rundir.read(run_train(run_config))[1])
+        headlines = [_headline_for_variant(summary, removed) for summary in summaries]
+        rows.append({"variant": name, "map_mean": float(np.mean(headlines)),
+                     "map_sd": float(np.std(headlines))})
+        for column, key in (("last_k_map_mean", "headline_map"),
+                            ("weight_avg_map_mean", "weight_avg_map"),
+                            ("ensemble_map_mean", "ensemble_map")):
+            rows[-1][column] = float(np.mean([summary[key] for summary in summaries]))
     with open(out_dir / "ablation.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -483,48 +398,25 @@ def run_ablation(
 
 
 def _load_run(run_dir: Path) -> tuple[dict, ModelConfig]:
-    config_file = run_dir / "config.json"
-    if not config_file.is_file():
-        raise ConfigError(f"not a run directory (no config.json): {run_dir}")
+    config_file, summary = rundir.read(run_dir)
     config = load_config(config_file)
-    summary_file = run_dir / "summary.json"
-    if summary_file.is_file():
-        try:
-            recorded = json.loads(summary_file.read_text()).get("config_hash")
-        except (json.JSONDecodeError, AttributeError):  # not JSON, or not a JSON object
-            raise ConfigError(f"corrupt run summary: {summary_file}")
-        if recorded and recorded != config_hash(config):
-            print(
-                f"warning: config snapshot in {run_dir} was mutated after the run; "
-                "reproduction is not guaranteed",
-                file=sys.stderr,
-            )
+    if summary.get("config_hash") not in (None, config_hash(config)):
+        print(f"warning: config snapshot in {run_dir} was mutated after the run; "
+              "reproduction is not guaranteed", file=sys.stderr)
     return config, build_model_config(config)
 
 
-def _check_class_count(model_config: ModelConfig, corpus: MultiLabelCorpus, run_dir: Path) -> None:
-    if corpus.num_classes != model_config.num_classes:
-        raise ConfigError(f"the eval corpus has {corpus.num_classes} classes, "
-                          f"the run {run_dir} scores {model_config.num_classes}")
-
-
-def _epoch_checkpoints(run_dir: Path) -> list[Path]:
-    """``checkpoints/epoch_<n>.ckpt`` in order of n, which must run exactly 1..N with N >= 1."""
-    numbered = []
-    for path in (run_dir / "checkpoints").glob("epoch_*.ckpt"):
-        digits = path.stem.removeprefix("epoch_")
-        numbered.append((int(digits) if digits.isdecimal() else 0, path))  # 0 is never valid
-    epochs = sorted(epoch for epoch, _ in numbered)
-    if not epochs or epochs != list(range(1, len(epochs) + 1)):
-        raise ConfigError(f"{run_dir}: checkpoint epochs {epochs} are not 1..N with N >= 1")
-    return [path for _, path in sorted(numbered)]
-
-
-def _teacher_checkpoint(run_dir: Path) -> ParameterVector:
-    wa = run_dir / "weight_avg.ckpt"
-    if wa.is_file():
-        return ParameterVector.load(wa)
-    return ParameterVector.load(_epoch_checkpoints(run_dir)[-1])
+def _eval_corpus(path: str | Path | None, run_dirs: list[Path],
+                 loaded: list[tuple[dict, ModelConfig]]) -> MultiLabelCorpus:
+    """The corpus at path, else the first run's eval corpus; each run must score its classes."""
+    corpus = read_corpus(path) if path is not None else build_eval_corpus(loaded[0][0])
+    if corpus is None:
+        raise ConfigError("no eval corpus: pass --corpus or configure one in the (first) run")
+    for run_dir, (_, model_config) in zip(run_dirs, loaded):
+        if corpus.num_classes != model_config.num_classes:
+            raise ConfigError(f"the eval corpus has {corpus.num_classes} classes, "
+                              f"the run {run_dir} scores {model_config.num_classes}")
+    return corpus
 
 
 def run_enhance(
@@ -536,17 +428,12 @@ def run_enhance(
     strict: bool = False,
 ) -> dict:
     """Score the teacher run's corpora, build thresholds, write enhanced label sets."""
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}")
-    for policy in policies:
-        if policy not in POLICIES:
-            raise ConfigError(f"policy must be one of {POLICIES}")
     teacher_run = Path(teacher_run)
     out_dir = Path(out_dir)
 
     config, model_config = _load_run(teacher_run)
     corpus, eval_corpus = build_corpora(config)
-    teacher = Model.from_vector(model_config, _teacher_checkpoint(teacher_run))
+    teacher = Model.from_vector(model_config, rundir.load_checkpoint(teacher_run))
     onto = read_ontology(ontology_path, corpus.class_names)
 
     train_labels = corpus.label_matrix()
@@ -596,27 +483,17 @@ def run_aggregate(
     """Ensemble the committee in a manifest of run directories; emit reports and curves."""
     manifest_path = Path(manifest_path)
     out_dir = Path(out_dir)
-    run_dirs = [
-        Path(line.strip())
-        for line in manifest_path.read_text().splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    lines = [line.strip() for line in manifest_path.read_text().splitlines()]
+    run_dirs = [Path(line) for line in lines if line and not line.startswith("#")]
     if not run_dirs:
         raise ConfigError(f"committee manifest {manifest_path} lists no runs")
 
     loaded = [_load_run(run_dir) for run_dir in run_dirs]
-    if eval_corpus_path is not None:
-        eval_corpus = read_corpus(eval_corpus_path)
-    else:
-        eval_corpus = build_eval_corpus(loaded[0][0])
-    if eval_corpus is None:
-        raise ConfigError("no eval corpus: pass one or configure it in the first run")
-    for run_dir, (_, model_config) in zip(run_dirs, loaded):
-        _check_class_count(model_config, eval_corpus, run_dir)
+    eval_corpus = _eval_corpus(eval_corpus_path, run_dirs, loaded)
     eval_feats = eval_corpus.features
     eval_labels = eval_corpus.label_matrix()
 
-    members = [Model.from_vector(model_config, _teacher_checkpoint(run_dir)).predict(eval_feats)
+    members = [Model.from_vector(model_config, rundir.load_checkpoint(run_dir)).predict(eval_feats)
                for run_dir, (_, model_config) in zip(run_dirs, loaded)]
     committee = agg.Committee(members)
 
@@ -626,8 +503,8 @@ def run_aggregate(
     # Start-epoch sweep over a single run's own checkpoint sequence.
     points = None
     if len(run_dirs) == 1:
-        ckpts = [ParameterVector.load(p) for p in _epoch_checkpoints(run_dirs[0])]
-        points = agg.sweep_start_epoch(ckpts, loaded[0][1], eval_feats, eval_labels)
+        points = agg.sweep_start_epoch(rundir.load_epochs(run_dirs[0]), loaded[0][1],
+                                       eval_feats, eval_labels)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, report in enumerate(member_reports):
@@ -682,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="re-evaluate a checkpoint of a finished run")
     p.add_argument("--run", required=True)
     p.add_argument("--checkpoint", default=None,
-                   help="checkpoint name, e.g. epoch_005 or weight_avg (default: best available)")
+                   help="a checkpoint the run holds: weight_avg or epoch_<n>, with or without "
+                        ".ckpt (default: weight_avg, else the last epoch)")
     p.add_argument("--corpus", default=None, help="override the run's eval corpus")
     p.add_argument("--out", default=None, help="write the report JSON here")
 
@@ -732,35 +610,17 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = load_config(args.config)
-    run_dir = run_train(config, run_dir=args.out)
-    summary = json.loads((run_dir / "summary.json").read_text())
-    headline = summary.get("headline_map")
+    run_dir = run_train(load_config(args.config), run_dir=args.out)
+    headline = rundir.read(run_dir)[1].get("headline_map")
     print(f"run complete: {run_dir}" + (f"  headline mAP {headline:.4f}" if headline else ""))
     return 0
 
 
 def _cmd_eval(args) -> int:
     run_dir = Path(args.run)
-    config, model_config = _load_run(run_dir)
-    if args.corpus is not None:
-        eval_corpus = read_corpus(args.corpus)
-    else:
-        eval_corpus = build_eval_corpus(config)
-    if eval_corpus is None:
-        raise ConfigError("run has no eval corpus; pass --corpus")
-    _check_class_count(model_config, eval_corpus, run_dir)
-    if args.checkpoint:
-        path = run_dir / (f"{args.checkpoint}.ckpt" if not args.checkpoint.endswith(".ckpt")
-                          else args.checkpoint)
-        if not path.is_file():
-            path = run_dir / "checkpoints" / path.name
-        if not path.is_file():
-            raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-        vec = ParameterVector.load(path)
-    else:
-        vec = _teacher_checkpoint(run_dir)
-    model = Model.from_vector(model_config, vec)
+    config, model_config = loaded = _load_run(run_dir)
+    eval_corpus = _eval_corpus(args.corpus, [run_dir], [loaded])
+    model = Model.from_vector(model_config, rundir.load_checkpoint(run_dir, args.checkpoint))
     report = evaluate(model.predict(eval_corpus.features), eval_corpus.label_matrix())
     if args.out:
         report.write_json(args.out)
@@ -829,8 +689,9 @@ _COMMANDS = {
     "coverage": _cmd_coverage,
 }
 
-_CONFIG_ERRORS = (ConfigError, CorpusError, OntologyError, SamplerError,
-                  LabelFixError, ModelError, agg.AggregateError, FileNotFoundError)
+_CONFIG_ERRORS = (ConfigError, CorpusError, OntologyError, SamplerError, LabelFixError,
+                  ModelError, agg.AggregateError, FileNotFoundError, IsADirectoryError,
+                  NotADirectoryError, UnicodeDecodeError)
 _NUMERICAL_ERRORS = (DivergenceError, MetricError)
 
 

@@ -255,12 +255,21 @@ def read_labels(path: str | Path, class_names: list[str]) -> tuple[list[str], np
     return ids, np.array(rows, dtype=np.uint8).reshape(len(ids), len(class_names))
 
 
-def write_corpus(corpus: MultiLabelCorpus, path: str | Path) -> None:
-    path = Path(path)
-    (path / "features").mkdir(parents=True, exist_ok=True)
-    for sid in corpus.ids:
+def _check_ids(ids: list[str]) -> None:
+    """Each sample id names its payload file, so it must be filesystem-safe and unique."""
+    seen = set()
+    for sid in ids:
         if not set(sid) <= _ID_SAFE:
             raise CorpusError(f"sample id {sid!r} is not filesystem-safe")
+        if sid in seen:
+            raise CorpusError(f"sample id {sid!r} is repeated")
+        seen.add(sid)
+
+
+def write_corpus(corpus: MultiLabelCorpus, path: str | Path) -> None:
+    _check_ids(corpus.ids)
+    path = Path(path)
+    (path / "features").mkdir(parents=True, exist_ok=True)
     shape_str = " ".join(str(d) for d in corpus.feature_shape)
     lines = ["version 1", f"feature_shape {shape_str}", f"num_samples {len(corpus)}"]
     lines += [f"class {name}" for name in corpus.class_names]
@@ -294,6 +303,8 @@ def read_manifest(path: str | Path) -> tuple[tuple[int, ...], list[str], int | N
                 raise MalformedManifestError(f"manifest line {lineno}: bad sample count {rest!r}")
             declared_n = int(rest)
         elif key == "class":
+            if rest in names:
+                raise MalformedManifestError(f"manifest line {lineno}: repeated class {rest!r}")
             names.append(rest)
         else:
             raise MalformedManifestError(f"manifest line {lineno}: unknown key {key!r}")
@@ -309,6 +320,7 @@ def read_corpus(path: str | Path) -> MultiLabelCorpus:
     if not labels_file.is_file():
         raise MalformedManifestError(f"missing label index: {labels_file}")
     ids, labels = read_labels(labels_file, names)
+    _check_ids(ids)
     if declared_n is not None and declared_n != len(ids):
         raise MalformedManifestError(
             f"manifest declares {declared_n} samples, label index has {len(ids)}"

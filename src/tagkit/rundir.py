@@ -1,0 +1,122 @@
+"""The run directory: the only code that knows its layout::
+
+    run_dir/
+      config.json                 # the merged config, as trained
+      init_report.json            # with init_path: tensors loaded and re-initialised
+      enhance_audit.csv           # with enhance: the teacher's label repairs
+      checkpoints/epoch_<n>.ckpt
+      train_log.csv               # epoch, iteration, lr, loss, eval_map
+      eval/epoch_<n>.json|csv     # with an eval corpus: per-epoch reports
+      weight_avg.ckpt             # with an eval corpus, like the two reports below
+      eval/weight_avg.json
+      eval/checkpoint_ensemble.json
+      summary.json                # written last: a run without it is unfinished
+
+``create`` makes the directory with one exclusive mkdir, so no run ever
+writes into a path that exists, and ``finish`` writes summary.json through a
+rename, so it is whole or absent.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import os
+from pathlib import Path
+
+from .model import ParameterVector
+
+WEIGHT_AVG = "weight_avg"
+
+
+class ConfigError(Exception):
+    """Bad config or input, a run directory included; the CLI exits 2."""
+
+
+def create(run_dir: Path, config: dict, init_report: dict | None, audit,
+           class_names: list[str]) -> None:
+    """Make a new run directory and write what is known before training."""
+    try:
+        run_dir.mkdir(parents=True)
+    except FileExistsError:
+        raise ConfigError(f"{run_dir} already exists; train makes a new run directory") from None
+    (run_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    if init_report is not None:
+        (run_dir / "init_report.json").write_text(json.dumps(init_report, indent=2) + "\n")
+    if audit is not None:
+        audit.write_csv(run_dir / "enhance_audit.csv", class_names)
+
+
+def finish(run_dir: Path, result, class_names: list[str], class_counts, summary: dict,
+           averaged=None) -> None:
+    """Write what a ``TrainResult`` holds: each epoch's checkpoint and report, the train log,
+    the weight average and its two reports if ``averaged`` holds them, then summary.json."""
+    (run_dir / "checkpoints").mkdir()
+    for epoch, ck in enumerate(result.checkpoints, start=1):
+        ck.save(run_dir / "checkpoints" / f"epoch_{epoch:03d}.ckpt")
+    with open(run_dir / "train_log.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["epoch", "iteration", "lr", "loss", "eval_map"])
+        writer.writeheader()
+        for row in result.log_rows:
+            writer.writerow({"eval_map": "", **row})
+    (run_dir / "eval").mkdir()
+    for epoch, report in enumerate(result.eval_reports, start=1):
+        report.write_json(run_dir / "eval" / f"epoch_{epoch:03d}.json")
+        report.write_class_csv(run_dir / "eval" / f"epoch_{epoch:03d}.csv",
+                               class_names, class_counts)
+    if averaged is not None:
+        weight_avg, wa_report, ensemble_report = averaged
+        weight_avg.save(run_dir / f"{WEIGHT_AVG}.ckpt")
+        wa_report.write_json(run_dir / "eval" / f"{WEIGHT_AVG}.json")
+        ensemble_report.write_json(run_dir / "eval" / "checkpoint_ensemble.json")
+    partial = run_dir / "summary.json.tmp"
+    partial.write_text(json.dumps(summary, indent=2) + "\n")
+    os.replace(partial, run_dir / "summary.json")
+
+
+def read(run_dir: Path) -> tuple[Path, dict]:
+    """A finished run's config file and its summary."""
+    summary_file = run_dir / "summary.json"
+    if not summary_file.is_file():
+        raise ConfigError(f"not a finished run (no summary.json): {run_dir}")
+    try:
+        summary = json.loads(summary_file.read_text())
+    except json.JSONDecodeError:
+        summary = None
+    if not isinstance(summary, dict):
+        raise ConfigError(f"corrupt run summary: {summary_file}")
+    return run_dir / "config.json", summary
+
+
+def checkpoints(run_dir: Path) -> dict[str, Path]:
+    """The run's checkpoints by name: epoch_<n> in order of n, then weight_avg if written.
+
+    The epochs come from the number in each name, which must run exactly
+    1..N with N >= 1. The last entry is the run's default checkpoint.
+    """
+    numbered = []
+    for path in (run_dir / "checkpoints").glob("epoch_*.ckpt"):
+        digits = path.stem.removeprefix("epoch_")
+        numbered.append((int(digits) if digits.isdecimal() else 0, path))  # 0 is never valid
+    epochs = sorted(epoch for epoch, _ in numbered)
+    if not epochs or epochs != list(range(1, len(epochs) + 1)):
+        raise ConfigError(f"{run_dir}: checkpoint epochs {epochs} are not 1..N with N >= 1")
+    held = {path.stem: path for _, path in sorted(numbered)}
+    if (run_dir / f"{WEIGHT_AVG}.ckpt").is_file():
+        held[WEIGHT_AVG] = run_dir / f"{WEIGHT_AVG}.ckpt"
+    return held
+
+
+def load_checkpoint(run_dir: Path, name: str | None = None) -> ParameterVector:
+    """A checkpoint the run holds, named with or without ``.ckpt``; by default the last one."""
+    held = checkpoints(run_dir)
+    key = next(reversed(held)) if name is None else name.removesuffix(".ckpt")
+    if key not in held:
+        raise ConfigError(f"{run_dir} holds no checkpoint {name!r}; it holds {', '.join(held)}")
+    return ParameterVector.load(held[key])
+
+
+def load_epochs(run_dir: Path) -> list[ParameterVector]:
+    """The epoch checkpoints, in order."""
+    return [ParameterVector.load(p) for name, p in checkpoints(run_dir).items()
+            if name != WEIGHT_AVG]

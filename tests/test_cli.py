@@ -23,9 +23,9 @@ from tagkit.cli import (
     run_aggregate,
     run_enhance,
     run_train,
-    _teacher_checkpoint,
 )
 from tagkit.corpus import read_corpus
+from tagkit.rundir import load_checkpoint as _teacher_checkpoint
 from tagkit.metrics import evaluate
 from tagkit.model import Model, ParameterVector
 from tagkit.sampler import SamplerError
@@ -231,12 +231,18 @@ class TestRunTrain:
         assert sa["headline_map"] == sb["headline_map"]
         assert sa["per_epoch_map"] == sb["per_epoch_map"]
 
-    def test_lock_prevents_concurrent_ownership(self, tmp_path):
-        config = tiny_config(tmp_path / "run")
-        (tmp_path / "run").mkdir()
-        (tmp_path / "run" / "lock").write_text("999\n")
-        with pytest.raises(ConfigError, match="lock"):
-            run_train(config)
+    def test_train_refuses_an_existing_directory(self, tmp_path):
+        # A lock file left by a killed run, a finished run, and an empty directory.
+        (tmp_path / "locked").mkdir()
+        (tmp_path / "locked" / "lock").write_text("999\n")
+        run_train(tiny_config(tmp_path / "finished", epochs=1))
+        (tmp_path / "empty").mkdir()
+        for name in ("locked", "finished", "empty"):
+            run_dir = tmp_path / name
+            before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+            with pytest.raises(ConfigError, match="already exists"):
+                run_train(tiny_config(run_dir))
+            assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
     def test_eval_command_reproduces_logged_map(self, tmp_path, capsys):
         config = tiny_config(tmp_path / "run")
@@ -405,6 +411,7 @@ class TestEnhancePipeline:
         (tmp_path / "empty_run" / "config.json").write_text(json.dumps(
             tiny_config(tmp_path / "empty_run")))
         (tmp_path / "empty_run" / "checkpoints").mkdir()
+        (tmp_path / "empty_run" / "summary.json").write_text("{}\n")
         onto = tmp_path / "o.txt"
         onto.write_text("class000 class001\n")
         with pytest.raises(ConfigError, match="checkpoint"):
@@ -660,6 +667,19 @@ class TestBadInputExitCodes:
         for out in ("run2", "enh", "agg"):
             assert not (tmp_path / out).exists()
 
+    def test_eval_checkpoint_must_be_one_the_run_holds(self, tmp_path, capsys):
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=2))
+        other = run_train(tiny_config(tmp_path / "other", seed=1, epochs=2))
+        for name in ("weight_avg", "weight_avg.ckpt", "epoch_001", "epoch_002.ckpt"):
+            assert main(["eval", "--run", str(run_dir), "--checkpoint", name]) == 0
+        capsys.readouterr()
+        for name in ("../other/weight_avg", str(other / "checkpoints" / "epoch_002"),
+                     str(other / "weight_avg.ckpt"), "checkpoints/epoch_001", "epoch_003"):
+            assert main(["eval", "--run", str(run_dir), "--checkpoint", name]) == 2
+            err = capsys.readouterr().err
+            assert err == (f"config error: {run_dir} holds no checkpoint {name!r}; "
+                           "it holds epoch_001, epoch_002, weight_avg\n")
+
     def test_seed_must_be_a_non_negative_integer(self, tmp_path, capsys):
         config_file = tmp_path / "c.json"
         for bad in (-1, "3", 1.0, True, None):
@@ -677,6 +697,75 @@ class TestBadInputExitCodes:
         assert main(["train", "--config", str(config_file)]) == 0
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["weight_avg_start"] == 1
+
+
+@pytest.mark.parametrize("case", ["train --config DIR", "enhance --ontology DIR",
+                                  "aggregate --manifest DIR", "0xff in manifest.txt",
+                                  "0xff in --config"])
+def test_unreadable_input_is_a_config_error(tmp_path, capsys, case):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if case == "enhance --ontology DIR":
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
+        argv = ["enhance", "--teacher-run", str(run_dir), "--ontology", str(folder),
+                "--out", str(tmp_path / "enh")]
+    elif case == "0xff in manifest.txt":
+        assert main(["synth", "--classes", "3", "--samples", "12", "--time-frames", "8",
+                     "--freq-bins", "4", "--out", str(tmp_path / "c")]) == 0
+        manifest = tmp_path / "c" / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes() + b"class \xff\n")
+        argv = ["coverage", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "cov.csv")]
+    elif case == "0xff in --config":
+        (tmp_path / "c.json").write_bytes(b'{"seed": 1\xff}')
+        argv = ["train", "--config", str(tmp_path / "c.json")]
+    else:
+        command, option, _ = case.split()
+        argv = [command, option, str(folder), "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class TestRunDirectoryContract:
+    def test_training_over_a_run_is_refused_and_changes_nothing(self, tmp_path, capsys):
+        # Training 1 epoch into a 3-epoch run used to leave epochs 2 and 3 behind,
+        # where aggregate swept them as if one run had made them.
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps(tiny_config(tmp_path / "runx", epochs=3)))
+        assert main(["train", "--config", str(config_file)]) == 0
+        before = {p: p.read_bytes() for p in (tmp_path / "runx").rglob("*") if p.is_file()}
+        config_file.write_text(json.dumps(tiny_config(tmp_path / "runx", epochs=1)))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: {tmp_path / 'runx'} already exists; "
+                       "train makes a new run directory\n")
+        assert {p: p.read_bytes() for p in (tmp_path / "runx").rglob("*") if p.is_file()} == before
+
+    def test_a_run_without_its_summary_is_refused(self, tmp_path, capsys):
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
+        (run_dir / "summary.json").unlink()
+        onto = tmp_path / "onto.txt"
+        write_ontology(Ontology.from_edges(4, [(0, 1)]), onto,
+                       [f"class{k:03d}" for k in range(4)])
+        (tmp_path / "m.txt").write_text(f"{run_dir}\n")
+        student = tiny_config(tmp_path / "student", epochs=1)
+        student["enhance"] = {"teacher_run": str(run_dir), "ontology": str(onto)}
+        (tmp_path / "s.json").write_text(json.dumps(student))
+        capsys.readouterr()
+        for argv in (["eval", "--run", str(run_dir)],
+                     ["enhance", "--teacher-run", str(run_dir), "--ontology", str(onto),
+                      "--out", str(tmp_path / "enh")],
+                     ["aggregate", "--manifest", str(tmp_path / "m.txt"),
+                      "--out", str(tmp_path / "agg")],
+                     ["train", "--config", str(tmp_path / "s.json")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"config error: not a finished run (no summary.json): {run_dir}\n")
+        for out in ("enh", "agg", "student"):
+            assert not (tmp_path / out).exists()
 
 
 def test_class_csv_counts_are_training_class_counts(tmp_path):

@@ -227,6 +227,30 @@ class TestDiskFormat:
         with pytest.raises(MalformedManifestError):
             read_corpus(tmp_path / "nowhere")
 
+    def test_sample_id_with_a_path_is_rejected(self, tmp_path):
+        # The id would name a payload of another corpus, outside this one.
+        write_corpus(tiny_corpus(), tmp_path / "other")
+        write_corpus(tiny_corpus(), tmp_path / "c")
+        labels = tmp_path / "c" / "labels.txt"
+        labels.write_text(labels.read_text().replace("a\t", "../../other/features/a\t"))
+        with pytest.raises(CorpusError, match="not filesystem-safe"):
+            read_corpus(tmp_path / "c")
+
+    def test_repeated_sample_id_is_rejected(self, tmp_path):
+        write_corpus(tiny_corpus(), tmp_path / "c")
+        labels, manifest = tmp_path / "c" / "labels.txt", tmp_path / "c" / "manifest.txt"
+        labels.write_text(labels.read_text() + "b\tA\n")
+        manifest.write_text(manifest.read_text().replace("num_samples 3", "num_samples 4"))
+        with pytest.raises(CorpusError, match="'b' is repeated"):
+            read_corpus(tmp_path / "c")
+
+    def test_repeated_class_name_is_rejected(self, tmp_path):
+        write_corpus(tiny_corpus(), tmp_path / "c")
+        manifest = tmp_path / "c" / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "class A\n")
+        with pytest.raises(MalformedManifestError, match="repeated class 'A'"):
+            read_corpus(tmp_path / "c")
+
 
 class TestInvariants:
     def test_sample_requires_a_label(self):
