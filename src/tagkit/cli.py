@@ -22,8 +22,8 @@ import numpy as np
 
 from . import aggregate as agg
 from . import rundir
-from .corpus import (CorpusError, MultiLabelCorpus, SynthSpec, generate_synthetic, read_corpus,
-                     read_labels, read_manifest, write_corpus, write_labels)
+from .corpus import (CorpusError, MultiLabelCorpus, SynthSpec, _check_ids, generate_synthetic,
+                     read_corpus, read_labels, read_manifest, write_corpus, write_labels)
 from .labelfix import (MODES, POLICIES, EnhanceAudit, LabelFixError, enhance, enhance_eval_set,
                        make_thresholds)
 from .metrics import MetricError, evaluate
@@ -99,10 +99,8 @@ def merge_config(raw: dict, source: str = "<dict>") -> dict:
         if key in SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"{source}: {key} must be a JSON object")
-            for sub, subval in value.items():
-                if sub not in config[key]:
-                    raise ConfigError(f"{source}: unknown config key {key}.{sub}")
-                config[key][sub] = subval
+            _reject_unknown_keys(value, config[key], key, source)
+            config[key].update(value)
         else:
             config[key] = value
     validate_config(config, source)
@@ -115,6 +113,20 @@ def _has_json_type(value, default) -> bool:
     return type(value) in ((int, float) if type(default) is float else (type(default),))
 
 
+def _reject_unknown_keys(spec: dict, allowed, name: str, source: str) -> None:
+    for key in spec:
+        if key not in allowed:
+            raise ConfigError(f"{source}: unknown config key {name}.{key}")
+
+
+def _check_path(value, key: str, source: str) -> None:
+    """A path-valued key must hold a string naming an existing path."""
+    if type(value) is not str:
+        raise ConfigError(f"{source}: {key} must be a string")
+    if not Path(value).exists():
+        raise ConfigError(f"{source}: {key} does not exist: {value}")
+
+
 def validate_config(config: dict, source: str = "<dict>") -> None:
     """Structural checks first, then the dataclasses' own checks on the corpus header shape."""
     if config["corpus"] is None:
@@ -125,12 +137,12 @@ def validate_config(config: dict, source: str = "<dict>") -> None:
             continue
         if not isinstance(spec, dict) or not ({"path", "synth"} & set(spec)):
             raise ConfigError(f"{source}: {field} needs a 'path' or a 'synth' section")
-        if "path" in spec and not Path(spec["path"]).exists():
-            raise ConfigError(f"{source}: {field}.path does not exist: {spec['path']}")
-        if "labels" in spec and not Path(spec["labels"]).exists():
-            raise ConfigError(f"{source}: {field}.labels does not exist: {spec['labels']}")
-    if config["init_path"] is not None and not Path(config["init_path"]).exists():
-        raise ConfigError(f"{source}: init_path does not exist: {config['init_path']}")
+        _reject_unknown_keys(spec, ("path", "synth", "labels"), field, source)
+        for key in ("path", "labels"):
+            if key in spec:
+                _check_path(spec[key], f"{field}.{key}", source)
+    if config["init_path"] is not None:
+        _check_path(config["init_path"], "init_path", source)
     if type(config["seed"]) is not int or config["seed"] < 0:
         raise ConfigError(f"{source}: seed must be an integer >= 0")
     if type(config["output_dir"]) is not str:
@@ -142,10 +154,12 @@ def validate_config(config: dict, source: str = "<dict>") -> None:
     if enh is not None:
         if not isinstance(enh, dict) or "ontology" not in enh:
             raise ConfigError(f"{source}: enhance requires an ontology path")
-        if not Path(enh["ontology"]).exists():
-            raise ConfigError(f"{source}: enhance.ontology does not exist: {enh['ontology']}")
+        _reject_unknown_keys(enh, ("teacher_run", "ontology", "policy", "mode"), "enhance", source)
+        _check_path(enh["ontology"], "enhance.ontology", source)
         if "teacher_run" not in enh:
             raise ConfigError(f"{source}: enhance requires a teacher_run directory")
+        if type(enh["teacher_run"]) is not str:  # run_train's reader checks the run itself
+            raise ConfigError(f"{source}: enhance.teacher_run must be a string")
         if enh.get("policy", "mean") not in POLICIES:
             raise ConfigError(f"{source}: enhance.policy must be one of {POLICIES}")
         if enh.get("mode", "both") not in MODES:
@@ -171,7 +185,9 @@ def _load_labels_override(corpus: MultiLabelCorpus, labels_path: str) -> MultiLa
     """Swap in a drop-in replacement label file (e.g. an enhanced set)."""
     row_of = {sid: i for i, sid in enumerate(corpus.ids)}
     labels = corpus.label_matrix()
-    for sid, bits in zip(*read_labels(labels_path, corpus.class_names)):
+    ids, rows = read_labels(labels_path, corpus.class_names)
+    _check_ids(ids)
+    for sid, bits in zip(ids, rows):
         if sid not in row_of:
             raise ConfigError(f"labels override: unknown sample id {sid!r}")
         labels[row_of[sid]] = bits

@@ -73,8 +73,8 @@ class ModelConfig:
 
 
 PREDICT_BATCH = 256
-# Float32 clips become float64 work this many bytes at a time, a group that
-# stays in a core's L2 cache; at least one clip per group.
+# Model.embed upcasts float32 clips to float64 this many bytes at a time, a
+# group that stays in a core's L2 cache; at least one clip per group.
 CHUNK_BYTES = 1 << 21
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -525,9 +525,9 @@ def _assemble_batch(
 ):
     """Features and soft labels of plan draws ``index``: mixup, then time/frequency masks.
 
-    Bit-identical to mixing and masking each draw on its own; plan_epoch
-    guarantees the masks fit the feature shape. Rows are gathered, upcast,
-    mixed and masked CHUNK_BYTES at a time, while they are still in cache.
+    Bit-identical to mixing and masking each draw on its own: each draw fills
+    its own row with plain slices, in that operation order. plan_epoch
+    guarantees the masks fit the feature shape.
     """
     features = corpus.features
     primary, partner = plan.primary[index], plan.partner[index]
@@ -537,28 +537,20 @@ def _assemble_batch(
         lm = lam[mix][:, None]
         y[mix] = lm * y[mix] + (1.0 - lm) * labels[partner[mix]]
     x = np.empty((len(index), *features.shape[1:]))
-    t = np.arange(x.shape[1])
-    f = np.arange(x.shape[2])
-    t0, tl = plan.time_off[index][:, None], plan.time_len[index][:, None]
-    f0, fl = plan.freq_off[index][:, None], plan.freq_len[index][:, None]
-    time_rows = (t >= t0) & (t < t0 + tl)  # (B, T)
-    freq_cols = ((f >= f0) & (f < f0 + fl))[:, None, :]  # (B, 1, F)
-    step = max(1, CHUNK_BYTES // (8 * math.prod(x.shape[1:])))
-    for lo in range(0, len(index), step):
-        part = slice(lo, lo + step)
-        xc = x[part]
-        xc[...] = features[primary[part]]
-        m = mix[part]
-        if m.any():
-            lc = lam[part][m][:, None, None]
-            mixed = xc[m]
-            mixed *= lc
-            xj = features[partner[part][m]].astype(np.float64)
-            xj *= 1.0 - lc
-            mixed += xj
-            xc[m] = mixed
-        xc[time_rows[part]] = mask_value
-        np.copyto(xc, mask_value, where=freq_cols[part])
+    buf = np.empty(features.shape[1:])
+    # Python scalars: indexing numpy arrays per clip costs more than a small clip's work.
+    draws = zip(*(a.tolist() for a in (primary, mix, partner, lam, plan.time_off[index],
+                                       plan.time_len[index], plan.freq_off[index],
+                                       plan.freq_len[index])))
+    for row, (i, mixed, j, lam_i, t0, tl, f0, fl) in zip(x, draws):
+        row[...] = features[i]
+        if mixed:
+            row *= lam_i
+            buf[...] = features[j]
+            buf *= 1.0 - lam_i
+            row += buf
+        row[t0 : t0 + tl] = mask_value
+        row[:, f0 : f0 + fl] = mask_value
     return x, y
 
 

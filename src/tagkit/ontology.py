@@ -48,21 +48,12 @@ class Ontology:
 
     def validate(self) -> None:
         """Accept iff the graph is a DAG; otherwise raise CycleError naming one cycle."""
-        indeg = [len(p) for p in self.parents]
-        queue = [k for k in range(self.num_classes) if indeg[k] == 0]
-        seen = 0
-        while queue:
-            k = queue.pop()
-            seen += 1
-            for c in self.children[k]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if seen < self.num_classes:
-            raise CycleError(self._find_cycle())
+        cycle = self._find_cycle()
+        if cycle is not None:
+            raise CycleError(cycle)
 
-    def _find_cycle(self) -> list[int]:
-        """First cycle of a depth-first search in class order, on an explicit stack."""
+    def _find_cycle(self) -> list[int] | None:
+        """First cycle of a depth-first search in class order (explicit stack), or None."""
         state = [0] * self.num_classes  # 0 unvisited, 1 on path, 2 done
         for root in range(self.num_classes):
             if state[root]:
@@ -81,7 +72,7 @@ class Ontology:
                 else:
                     state[path.pop()] = 2
                     pending.pop()
-        raise AssertionError("cycle reported but none found")
+        return None
 
 
 def read_ontology(path: str | Path, class_names: list[str]) -> Ontology:

@@ -178,6 +178,47 @@ def test_output_dir_must_be_a_string(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def _config_with_enhance(tmp_path) -> dict:
+    config = tiny_config(tmp_path / "run")
+    (tmp_path / "o.txt").write_text("class000 class001\n")
+    config["enhance"] = {"teacher_run": str(tmp_path), "ontology": str(tmp_path / "o.txt")}
+    return config
+
+
+@pytest.mark.parametrize("key", ["corpus.path", "eval_corpus.path", "corpus.labels",
+                                 "eval_corpus.labels", "init_path", "enhance.ontology",
+                                 "enhance.teacher_run"])
+def test_path_valued_key_must_be_a_string(tmp_path, key):
+    config = _config_with_enhance(tmp_path)
+    section, _, name = key.rpartition(".")
+    (config[section] if section else config)[name] = 5
+    code, err = _train_exit(config, tmp_path)
+    assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
+    assert f"{key} must be a string" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section,key", [("corpus", "lables"), ("eval_corpus", "pth"),
+                                         ("enhance", "polcy")])
+def test_misspelt_key_in_a_corpus_or_enhance_spec_is_rejected(tmp_path, section, key):
+    config = _config_with_enhance(tmp_path)
+    config[section][key] = "p10"
+    code, err = _train_exit(config, tmp_path)
+    assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
+    assert f"unknown config key {section}.{key}" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_labels_override_must_not_repeat_a_sample_id(tmp_path):
+    config = tiny_config(tmp_path / "run")
+    (tmp_path / "ov.txt").write_text("s00\tclass000\ns00\tclass002\n")
+    config["corpus"]["labels"] = str(tmp_path / "ov.txt")
+    code, err = _train_exit(config, tmp_path)
+    assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
+    assert "'s00' is repeated" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_library_run_train_validates_before_writing(tmp_path):
     config = tiny_config(tmp_path / "run")
     config["augment"]["time_mask_max"] = 17

@@ -505,45 +505,30 @@ class TestAssembleBatch:
     @pytest.mark.parametrize("masks", ["drawn", "empty", "full"])
     @pytest.mark.parametrize("mask_value", [0.0, -3.25])
     def test_matches_per_sample_oracle(self, mixup_rate, masks, mask_value):
-        corpus = generate_synthetic(SynthSpec(num_classes=4, num_samples=50, imbalance_ratio=3,
-                                              seed=34, feature_shape=(16, 8)))
-        labels = corpus.label_matrix()
-        t_frames, f_bins = corpus.feature_shape
-        plan = plan_epoch(np.ones(len(corpus)),
-                          AugmentConfig(freq_mask_max=f_bins, time_mask_max=t_frames,
-                                        mixup_rate=mixup_rate),
-                          corpus.feature_shape, 35)
-        n = len(plan)
-        zeros = np.zeros(n, dtype=np.int64)
-        if masks == "empty":
-            plan = replace(plan, freq_len=zeros, time_len=zeros)
-        elif masks == "full":
-            plan = replace(plan, freq_off=zeros, freq_len=np.full(n, f_bins),
-                           time_off=zeros, time_len=np.full(n, t_frames))
-        for lo in range(0, n, 16):  # the last batch is partial
-            index = np.arange(lo, min(lo + 16, n))
-            x, y = _assemble_batch(corpus, labels, plan, index, mask_value)
-            want_x, want_y = per_sample_batch(corpus, labels, plan, index, mask_value)
-            assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
-            assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes()
-
-    def test_large_clips_in_chunks_smaller_than_the_batch(self, monkeypatch):
-        corpus = generate_synthetic(SynthSpec(num_classes=3, num_samples=12, imbalance_ratio=2,
-                                              seed=36, feature_shape=PSLA_CLIP))
-        labels = corpus.label_matrix()
-        plan = plan_epoch(np.ones(len(corpus)), AugmentConfig(mixup_rate=0.5),
-                          corpus.feature_shape, 37)
-        assert plan.is_mixup.any() and not plan.is_mixup.all()
-        assert tagkit.model.CHUNK_BYTES // (8 * math.prod(PSLA_CLIP)) == 1
-        for index in (np.arange(10), np.arange(10, len(plan))):
-            x, y = _assemble_batch(corpus, labels, plan, index, -1.5)
-            want_x, want_y = per_sample_batch(corpus, labels, plan, index, -1.5)
-            assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
-        # Three clips per chunk: the last chunk of a 10-draw batch is partial.
-        monkeypatch.setattr(tagkit.model, "CHUNK_BYTES", 3 * 8 * math.prod(PSLA_CLIP))
-        x, y = _assemble_batch(corpus, labels, plan, np.arange(10), 0.0)
-        want_x, want_y = per_sample_batch(corpus, labels, plan, np.arange(10), 0.0)
-        assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+        # Small clips in batches of 16, then PSLA's clip shape in batches of 10.
+        for shape, num_samples, batch in (((16, 8), 50, 16), (PSLA_CLIP, 12, 10)):
+            corpus = generate_synthetic(SynthSpec(num_classes=4, num_samples=num_samples,
+                                                  imbalance_ratio=3, seed=34,
+                                                  feature_shape=shape))
+            labels = corpus.label_matrix()
+            t_frames, f_bins = shape
+            plan = plan_epoch(np.ones(len(corpus)),
+                              AugmentConfig(freq_mask_max=f_bins, time_mask_max=t_frames,
+                                            mixup_rate=mixup_rate),
+                              shape, 35)
+            n = len(plan)
+            zeros = np.zeros(n, dtype=np.int64)
+            if masks == "empty":
+                plan = replace(plan, freq_len=zeros, time_len=zeros)
+            elif masks == "full":
+                plan = replace(plan, freq_off=zeros, freq_len=np.full(n, f_bins),
+                               time_off=zeros, time_len=np.full(n, t_frames))
+            for lo in range(0, n, batch):  # the last batch is partial
+                index = np.arange(lo, min(lo + batch, n))
+                x, y = _assemble_batch(corpus, labels, plan, index, mask_value)
+                want_x, want_y = per_sample_batch(corpus, labels, plan, index, mask_value)
+                assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
+                assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes()
 
     def test_temporaries_stay_below_half_a_batch(self):
         rng = np.random.default_rng(38)
