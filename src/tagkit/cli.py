@@ -2,7 +2,8 @@
 
 A run directory (``rundir`` owns its layout) is self-describing: its config
 snapshot, per-epoch models and reports, weight average and ensemble report
-reproduce its evaluation from the artifacts alone.
+reproduce its evaluation from the artifacts alone; ``rundir.load_model`` reads a
+model back from the model config and class table its summary.json records.
 
 Exit codes: 0 success, 2 config/input error, 3 numerical failure.
 """
@@ -15,7 +16,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -127,8 +128,9 @@ def _check_path(value, key: str, source: str) -> None:
         raise ConfigError(f"{source}: {key} does not exist: {value}")
 
 
-def validate_config(config: dict, source: str = "<dict>") -> None:
-    """Structural checks first, then the dataclasses' own checks on the corpus header shape."""
+def validate_config(config: dict,
+                    source: str = "<dict>") -> tuple[ModelConfig, AugmentConfig, TrainConfig]:
+    """Structural checks, then the dataclasses' own on the corpus header shape, which it returns."""
     if config["corpus"] is None:
         raise ConfigError(f"{source}: corpus is required")
     for field in ("corpus", "eval_corpus"):
@@ -171,8 +173,13 @@ def validate_config(config: dict, source: str = "<dict>") -> None:
     if config["eval_corpus"] is not None and "synth" in config["eval_corpus"]:
         _synth_spec(config["eval_corpus"]["synth"])  # build_model_config checks the train spec
     model_config = build_model_config(config)
-    build_augment_config(config).validate((model_config.time_frames, model_config.freq_bins))
-    build_train_config(config)
+    augment_config = AugmentConfig(**config["augment"])
+    augment_config.validate((model_config.time_frames, model_config.freq_bins))
+    t = config["train"]
+    schedule = LRSchedule(**{f.name: t[f.name] for f in fields(LRSchedule)})
+    train_config = TrainConfig(**{k: t[k] for k in ("epochs", "batch_size", "report_last_k")},
+                               schedule=schedule, seed=config["seed"])
+    return model_config, augment_config, train_config
 
 
 def config_hash(config: dict) -> str:
@@ -259,25 +266,13 @@ def build_model_config(config: dict) -> ModelConfig:
                        **{**m, "time_strides": tuple(m["time_strides"])})
 
 
-def build_augment_config(config: dict) -> AugmentConfig:
-    return AugmentConfig(**config["augment"])
-
-
-def build_train_config(config: dict) -> TrainConfig:
-    t = config["train"]
-    schedule = LRSchedule(**{f.name: t[f.name] for f in fields(LRSchedule)})
-    return TrainConfig(epochs=t["epochs"], batch_size=t["batch_size"],
-                       report_last_k=t["report_last_k"], schedule=schedule, seed=config["seed"])
-
-
 # -- run directory workflow --------------------------------------------------
 
 
 def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
     """Execute one training run; its directory is made once the config, init and corpora load."""
-    validate_config(config)
+    model_config, augment_config, train_config = validate_config(config)
     run_dir = Path(run_dir if run_dir is not None else config["output_dir"])
-    model_config = build_model_config(config)
     # The corpora load first: a model sized by a manifest's shape that cannot be
     # allocated would fail in the init with a bare MemoryError.
     corpus, eval_corpus = build_corpora(config)
@@ -291,10 +286,9 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
     if config["enhance"] is not None:
         corpus, audit = _apply_enhancement(config["enhance"], corpus)
     rundir.create(run_dir, config, init_report, audit, corpus.class_names)
-    train_config = build_train_config(config)
 
     result = train(
-        corpus, model_config, build_augment_config(config), train_config,
+        corpus, model_config, augment_config, train_config,
         eval_corpus=eval_corpus, init_model=init_model,
     )
 
@@ -303,6 +297,8 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
         "epochs": train_config.epochs,
         "num_params": result.checkpoints[-1].values.size,
         "per_epoch_map": [r.map for r in result.eval_reports],
+        "model": asdict(model_config),
+        "class_names": corpus.class_names,
     }
     averaged = None
     if eval_corpus is not None:
@@ -332,9 +328,7 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
 def _apply_enhancement(enh: dict,
                        corpus: MultiLabelCorpus) -> tuple[MultiLabelCorpus, EnhanceAudit]:
     """Training labels repaired by a teacher run before training starts, and their audit."""
-    teacher_run = Path(enh["teacher_run"])
-    _, teacher_config = _load_run(teacher_run)
-    teacher = Model.from_vector(teacher_config, rundir.load_checkpoint(teacher_run))
+    teacher = rundir.load_model(Path(enh["teacher_run"]), corpus.class_names)
     onto = read_ontology(enh["ontology"], corpus.class_names)
     labels = corpus.label_matrix()
     scores = teacher.predict(corpus.features)
@@ -413,25 +407,21 @@ def run_ablation(
     return rows
 
 
-def _load_run(run_dir: Path) -> tuple[dict, ModelConfig]:
+def _load_run(run_dir: Path) -> dict:
+    """A finished run's config, validated again, for rebuilding the corpora it names."""
     config_file, summary = rundir.read(run_dir)
     config = load_config(config_file)
     if summary.get("config_hash") not in (None, config_hash(config)):
         print(f"warning: config snapshot in {run_dir} was mutated after the run; "
               "reproduction is not guaranteed", file=sys.stderr)
-    return config, build_model_config(config)
+    return config
 
 
-def _eval_corpus(path: str | Path | None, run_dirs: list[Path],
-                 loaded: list[tuple[dict, ModelConfig]]) -> MultiLabelCorpus:
-    """The corpus at path, else the first run's eval corpus; each run must score its classes."""
-    corpus = read_corpus(path) if path is not None else build_eval_corpus(loaded[0][0])
+def _eval_corpus(path: str | Path | None, run_dir: Path) -> MultiLabelCorpus:
+    """The corpus at path, else the eval corpus the run was configured with."""
+    corpus = read_corpus(path) if path is not None else build_eval_corpus(_load_run(run_dir))
     if corpus is None:
         raise ConfigError("no eval corpus: pass --corpus or configure one in the (first) run")
-    for run_dir, (_, model_config) in zip(run_dirs, loaded):
-        if corpus.num_classes != model_config.num_classes:
-            raise ConfigError(f"the eval corpus has {corpus.num_classes} classes, "
-                              f"the run {run_dir} scores {model_config.num_classes}")
     return corpus
 
 
@@ -444,12 +434,13 @@ def run_enhance(
     strict: bool = False,
 ) -> dict:
     """Score the teacher run's corpora, build thresholds, write enhanced label sets."""
+    if not policies:
+        raise ConfigError("enhance needs at least one threshold policy")
     teacher_run = Path(teacher_run)
     out_dir = Path(out_dir)
 
-    config, model_config = _load_run(teacher_run)
-    corpus, eval_corpus = build_corpora(config)
-    teacher = Model.from_vector(model_config, rundir.load_checkpoint(teacher_run))
+    corpus, eval_corpus = build_corpora(_load_run(teacher_run))
+    teacher = rundir.load_model(teacher_run, corpus.class_names)
     onto = read_ontology(ontology_path, corpus.class_names)
 
     train_labels = corpus.label_matrix()
@@ -504,13 +495,12 @@ def run_aggregate(
     if not run_dirs:
         raise ConfigError(f"committee manifest {manifest_path} lists no runs")
 
-    loaded = [_load_run(run_dir) for run_dir in run_dirs]
-    eval_corpus = _eval_corpus(eval_corpus_path, run_dirs, loaded)
+    eval_corpus = _eval_corpus(eval_corpus_path, run_dirs[0])
     eval_feats = eval_corpus.features
     eval_labels = eval_corpus.label_matrix()
 
-    members = [Model.from_vector(model_config, rundir.load_checkpoint(run_dir)).predict(eval_feats)
-               for run_dir, (_, model_config) in zip(run_dirs, loaded)]
+    models = [rundir.load_model(run_dir, eval_corpus.class_names) for run_dir in run_dirs]
+    members = [model.predict(eval_feats) for model in models]
     committee = agg.Committee(members)
 
     member_reports = [evaluate(m, eval_labels) for m in members]
@@ -519,7 +509,7 @@ def run_aggregate(
     # Start-epoch sweep over a single run's own checkpoint sequence.
     points = None
     if len(run_dirs) == 1:
-        points = agg.sweep_start_epoch(rundir.load_epochs(run_dirs[0]), loaded[0][1],
+        points = agg.sweep_start_epoch(rundir.load_epochs(run_dirs[0]), models[0].config,
                                        eval_feats, eval_labels)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -634,9 +624,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     run_dir = Path(args.run)
-    config, model_config = loaded = _load_run(run_dir)
-    eval_corpus = _eval_corpus(args.corpus, [run_dir], [loaded])
-    model = Model.from_vector(model_config, rundir.load_checkpoint(run_dir, args.checkpoint))
+    eval_corpus = _eval_corpus(args.corpus, run_dir)
+    model = rundir.load_model(run_dir, eval_corpus.class_names, args.checkpoint)
     report = evaluate(model.predict(eval_corpus.features), eval_corpus.label_matrix())
     if args.out:
         report.write_json(args.out)

@@ -14,7 +14,9 @@
 
 ``create`` makes the directory with one exclusive mkdir, so no run ever
 writes into a path that exists, and ``finish`` writes summary.json through a
-rename, so it is whole or absent.
+rename, so it is whole or absent. summary.json records the run's model config
+and class table, so ``load_model`` reads any checkpoint back as a model from
+the run directory alone.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
-from .model import ParameterVector
+from .model import Model, ModelConfig, ModelError, ParameterVector
 
 WEIGHT_AVG = "weight_avg"
 
@@ -120,3 +123,29 @@ def load_epochs(run_dir: Path) -> list[ParameterVector]:
     """The epoch checkpoints, in order."""
     return [ParameterVector.load(p) for name, p in checkpoints(run_dir).items()
             if name != WEIGHT_AVG]
+
+
+def load_model(run_dir: Path, class_names: list[str], name: str | None = None) -> Model:
+    """A checkpoint the run holds (as ``load_checkpoint``) in the model summary.json records.
+
+    The run must score ``class_names``, in order: the class table it recorded.
+    """
+    summary = read(run_dir)[1]
+    vector = load_checkpoint(run_dir, name)
+    entry, recorded = summary.get("model"), summary.get("class_names")
+    names = {f.name for f in fields(ModelConfig)}
+    try:  # every field with its JSON type, and as many class names as classes
+        strides = entry["time_strides"]
+        ints = [entry[k] for k in names - {"variant", "time_strides"}]
+        if (entry.keys() != names or type(entry["variant"]) is not str
+                or type(strides) is not list or len(strides) != 2
+                or not all(type(v) is int for v in ints + strides)
+                or type(recorded) is not list or len(recorded) != entry["num_classes"]):
+            raise ModelError
+        config = ModelConfig(**{**entry, "time_strides": tuple(strides)})
+    except (TypeError, KeyError, ModelError):
+        raise ConfigError(f"{run_dir}: summary.json records no valid model config") from None
+    if recorded != list(class_names):
+        raise ConfigError(f"{run_dir} scores {len(recorded)} classes; the corpus's {len(class_names)}"
+                          " are not the same names in the same order")
+    return Model(config, vector)

@@ -170,6 +170,8 @@ def simulate_coverage(
     """
     if epochs < 1:
         raise SamplerError("epochs must be >= 1")
+    if rng_seed < 0:
+        raise SamplerError("seed must be >= 0")
     labels = np.asarray(labels)
     n = len(weights)
     seen = np.zeros(n, dtype=bool)

@@ -528,6 +528,35 @@ class TestRunReload:
         run_aggregate(manifest, tmp_path / "agg2", eval_corpus_path=corpus_dir)
         assert counted == {"read_corpus": 1, "generate_synthetic": 0}
 
+    def test_a_run_reads_back_after_its_training_corpus_moves(self, tmp_path):
+        for split, n in (("train", 48), ("evalc", 32)):
+            assert main(["synth", "--classes", "4", "--samples", str(n), "--seed", "3",
+                         "--time-frames", "16", "--freq-bins", "8",
+                         "--out", str(tmp_path / split)]) == 0
+        config = {**tiny_config(tmp_path / "run", epochs=2),
+                  "corpus": {"path": str(tmp_path / "train")},
+                  "eval_corpus": {"path": str(tmp_path / "evalc")}}
+        run_dir = run_train(config)
+        onto = tmp_path / "onto.txt"
+        write_ontology(Ontology.from_edges(4, [(0, 1)]), onto, [f"class{k:03d}" for k in range(4)])
+        (tmp_path / "m.txt").write_text(f"{run_dir}\n")
+        student = {**config, "output_dir": str(tmp_path / "student"),
+                   "corpus": {"path": str(tmp_path / "evalc")},
+                   "enhance": {"teacher_run": str(run_dir), "ontology": str(onto)}}
+        (tmp_path / "s.json").write_text(json.dumps(student))
+        evaluate_argv = ["eval", "--run", str(run_dir), "--corpus", str(tmp_path / "evalc")]
+        assert main([*evaluate_argv, "--out", str(tmp_path / "before.json")]) == 0
+        (tmp_path / "train").rename(tmp_path / "moved")
+        assert main([*evaluate_argv, "--out", str(tmp_path / "after.json")]) == 0
+        assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+        assert main(["aggregate", "--manifest", str(tmp_path / "m.txt"), "--corpus",
+                     str(tmp_path / "evalc"), "--out", str(tmp_path / "agg")]) == 0
+        assert main(["train", "--config", str(tmp_path / "s.json")]) == 0
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["class_names"] == [f"class{k:03d}" for k in range(4)]
+        assert summary["model"] == {"num_classes": 4, "time_frames": 16, "freq_bins": 8,
+                                    **config["model"]}
+
 
 class TestBadInputExitCodes:
     def assert_config_error(self, argv, capsys):
@@ -560,7 +589,9 @@ class TestBadInputExitCodes:
 
     def test_corrupt_run_summary(self, tmp_path, capsys):
         run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
-        for bad in ('{"config_hash": ', "[1, 2]"):
+        summary = json.loads((run_dir / "summary.json").read_text())
+        del summary["model"]  # as written before the model config was recorded
+        for bad in ('{"config_hash": ', "[1, 2]", json.dumps(summary)):
             (run_dir / "summary.json").write_text(bad)
             for argv in (["eval", "--run", str(run_dir)],
                          ["aggregate", "--manifest", str(tmp_path / "m.txt"),
@@ -578,13 +609,31 @@ class TestBadInputExitCodes:
         corpus_dir = tmp_path / "c3"
         assert main(["synth", "--classes", "3", "--samples", "12", "--time-frames", "16",
                      "--freq-bins", "8", "--out", str(corpus_dir)]) == 0
+        # Four classes as the run has, under other names.
+        renamed = tmp_path / "renamed"
+        assert main(["synth", "--classes", "4", "--samples", "12", "--time-frames", "16",
+                     "--freq-bins", "8", "--out", str(renamed)]) == 0
+        for name in ("manifest.txt", "labels.txt"):
+            (renamed / name).write_text((renamed / name).read_text().replace("class0", "other0"))
+        onto = tmp_path / "onto.txt"
+        write_ontology(Ontology.from_edges(4, [(0, 1)]), onto, [f"other{k:03d}" for k in range(4)])
+        (tmp_path / "m4.txt").write_text(f"{four}\n")
+        student = {**tiny_config(tmp_path / "student", epochs=1), "corpus": {"path": str(renamed)},
+                   "enhance": {"teacher_run": str(four), "ontology": str(onto)}}
+        (tmp_path / "s.json").write_text(json.dumps(student))
         capsys.readouterr()
         for argv in (["aggregate", "--manifest", str(tmp_path / "m.txt"),
                       "--out", str(tmp_path / "agg")],
                      ["eval", "--run", str(four), "--corpus", str(corpus_dir)],
                      ["aggregate", "--manifest", str(tmp_path / "m.txt"), "--corpus",
-                      str(corpus_dir), "--out", str(tmp_path / "agg")]):
+                      str(corpus_dir), "--out", str(tmp_path / "agg")],
+                     ["eval", "--run", str(four), "--corpus", str(renamed)],
+                     ["aggregate", "--manifest", str(tmp_path / "m4.txt"), "--corpus",
+                      str(renamed), "--out", str(tmp_path / "agg")],
+                     ["train", "--config", str(tmp_path / "s.json")]):
             self.assert_config_error(argv, capsys)
+        for out in ("agg", "student"):
+            assert not (tmp_path / out).exists()
 
     def test_ablate_without_eval_corpus_fails_before_training(self, tmp_path, capsys):
         config = {**tiny_config(tmp_path / "run", epochs=1), "eval_corpus": None}
@@ -607,9 +656,9 @@ class TestBadInputExitCodes:
         assert main(["synth", "--classes", "3", "--samples", "12", "--time-frames", "8",
                      "--freq-bins", "4", "--out", str(corpus_dir)]) == 0
         capsys.readouterr()
-        for bad in ("2", "-1"):
-            self.assert_config_error(["coverage", "--corpus", str(corpus_dir), "--mixup-rate",
-                                      bad, "--out", str(tmp_path / "cov.csv")], capsys)
+        for bad in (["--mixup-rate", "2"], ["--mixup-rate", "-1"], ["--seed", "-1"]):
+            self.assert_config_error(["coverage", "--corpus", str(corpus_dir), *bad,
+                                      "--out", str(tmp_path / "cov.csv")], capsys)
         assert not (tmp_path / "cov.csv").exists()
 
     def test_failed_aggregate_leaves_no_output_directory(self, tmp_path, capsys):
@@ -641,6 +690,12 @@ class TestBadInputExitCodes:
         self.assert_config_error(["enhance", "--teacher-run", str(tmp_path / "nonexist"),
                                   "--ontology", str(tmp_path / "bad.txt"),
                                   "--out", str(tmp_path / "enhX")], capsys)
+        good = tmp_path / "good.txt"
+        write_ontology(Ontology.from_edges(4, [(0, 1)]), good, [f"class{k:03d}" for k in range(4)])
+        for policies in ("", ","):
+            self.assert_config_error(["enhance", "--teacher-run", str(run_dir), "--ontology",
+                                      str(good), "--policies", policies,
+                                      "--out", str(tmp_path / "enhX")], capsys)
         assert not (tmp_path / "enhX").exists()
 
     @pytest.mark.parametrize("defect", ["blank line", "non-integer dimension",

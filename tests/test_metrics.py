@@ -151,6 +151,8 @@ class TestDPrime:
             x = inv_norm_cdf(float(p))
             back = 0.5 * math.erfc(-x / math.sqrt(2))
             assert abs(back - p) < 1e-9
+        # The exact quantile at the double nearest 1 - 1e-12 (mpmath, 50 digits), to 17 digits.
+        assert abs(inv_norm_cdf(1 - 1e-12) - 7.0344869100478352) < 1e-14
 
 
 class TestEvaluate:
