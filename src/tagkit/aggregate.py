@@ -101,7 +101,8 @@ def sweep_start_epoch(
         # mean is exact.
         eval_features = Model(config, checkpoints[0]).embed(eval_features)[:, None, :]
         config = replace(config, time_frames=1)
-    starts = range(1, len(checkpoints) + 1)
+    # The last start averages one checkpoint: both its averages are that member's predictions.
+    starts = range(1, len(checkpoints))
     # The weight averages are scored before the member stack is filled, and the
     # pooled features are dropped before the prediction averages are scored, so
     # no evaluate runs beside both.
@@ -115,11 +116,12 @@ def sweep_start_epoch(
     for i, ck in enumerate(checkpoints):
         member_preds[i] = Model.from_vector(config, ck).predict(eval_features)
     del eval_features
+    last_map = evaluate(member_preds[-1], eval_labels).map
     return [
         SweepPoint(start, wa_map,
                    evaluate(np.mean(member_preds[start - 1 :], axis=0), eval_labels).map)
         for start, wa_map in zip(starts, wa_maps)
-    ]
+    ] + [SweepPoint(len(checkpoints), last_map, last_map)]
 
 
 def write_sweep_csv(points: list[SweepPoint], path: str | Path) -> None:

@@ -81,13 +81,16 @@ DEFAULT_CONFIG = {
 
 
 def load_config(path: str | Path) -> dict:
+    return merge_config(_read_json(path), source=str(path))
+
+
+def _read_json(path: str | Path) -> object:
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
-    return merge_config(raw, source=str(path))
 
 
 def merge_config(raw: dict, source: str = "<dict>") -> dict:
@@ -131,22 +134,12 @@ def _check_path(value, key: str, source: str) -> None:
 def validate_config(config: dict,
                     source: str = "<dict>") -> tuple[ModelConfig, AugmentConfig, TrainConfig]:
     """Structural checks, then the dataclasses' own on the corpus header shape, which it returns."""
-    if config["corpus"] is None:
-        raise ConfigError(f"{source}: corpus is required")
-    for field in ("corpus", "eval_corpus"):
-        spec = config[field]
-        if spec is None:
-            continue
-        if not isinstance(spec, dict) or not ({"path", "synth"} & set(spec)):
-            raise ConfigError(f"{source}: {field} needs a 'path' or a 'synth' section")
-        _reject_unknown_keys(spec, ("path", "synth", "labels"), field, source)
+    for field, spec in zip(("corpus", "eval_corpus"), corpus_specs(config, source)):
         for key in ("path", "labels"):
-            if key in spec:
+            if spec is not None and key in spec:
                 _check_path(spec[key], f"{field}.{key}", source)
     if config["init_path"] is not None:
         _check_path(config["init_path"], "init_path", source)
-    if type(config["seed"]) is not int or config["seed"] < 0:
-        raise ConfigError(f"{source}: seed must be an integer >= 0")
     if type(config["output_dir"]) is not str:
         raise ConfigError(f"{source}: output_dir must be a string")
     start = config["weight_avg_start"]
@@ -170,8 +163,6 @@ def validate_config(config: dict,
         for key, default in DEFAULT_CONFIG[name].items():
             if not _has_json_type(config[name][key], default):
                 raise ConfigError(f"{source}: {name}.{key} must be {_JSON_TYPES[type(default)]}")
-    if config["eval_corpus"] is not None and "synth" in config["eval_corpus"]:
-        _synth_spec(config["eval_corpus"]["synth"])  # build_model_config checks the train spec
     model_config = build_model_config(config)
     augment_config = AugmentConfig(**config["augment"])
     augment_config.validate((model_config.time_frames, model_config.freq_bins))
@@ -215,50 +206,56 @@ def _synth_spec(synth: dict, **defaults) -> SynthSpec:
     return spec
 
 
-def _build_one_corpus(
-    spec: dict | None, master_seed: int, stream_name: str, pattern_seed: int | None = None
-) -> MultiLabelCorpus | None:
+def corpus_specs(config: dict, source: str = "<dict>") -> tuple[dict, dict | None]:
+    """A config's train and eval corpus specs, checked and resolved without opening a path.
+
+    "path" and "labels" stay strings; a "synth" section becomes a SynthSpec, read only when
+    no path is given, whose seed defaults to one drawn from the run seed. A synthetic eval
+    split takes the training split's class patterns unless it sets its own pattern_seed.
+    """
+    seed, specs, pattern = config.get("seed"), [], None
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"{source}: seed must be an integer >= 0")
+    if config.get("corpus") is None:
+        raise ConfigError(f"{source}: corpus is required")
+    for field, stream_name in (("corpus", "synth"), ("eval_corpus", "synth_eval")):
+        spec = config.get(field)
+        if spec is not None:
+            if not isinstance(spec, dict) or not ({"path", "synth"} & set(spec)):
+                raise ConfigError(f"{source}: {field} needs a 'path' or a 'synth' section")
+            _reject_unknown_keys(spec, ("path", "synth", "labels"), field, source)
+            for key in ("path", "labels"):
+                if key in spec and type(spec[key]) is not str:
+                    raise ConfigError(f"{source}: {field}.{key} must be a string")
+            if "synth" in spec:
+                synth = _synth_spec(spec["synth"], pattern_seed=pattern,
+                                    seed=int(stream(seed, stream_name).integers(2**31)))
+                spec = {**spec, "synth": synth}
+                pattern = synth.seed if synth.pattern_seed is None else synth.pattern_seed
+        specs.append(spec)
+    return specs[0], specs[1]
+
+
+def _build_one_corpus(spec: dict | None) -> MultiLabelCorpus | None:
     if spec is None:
         return None
-    if "path" in spec:
-        corpus = read_corpus(spec["path"])
-    else:
-        defaults = {"seed": int(stream(master_seed, stream_name).integers(2**31))}
-        if pattern_seed is not None:
-            defaults["pattern_seed"] = pattern_seed
-        corpus = generate_synthetic(_synth_spec(spec["synth"], **defaults))
-    if "labels" in spec:
-        corpus = _load_labels_override(corpus, spec["labels"])
-    return corpus
+    corpus = read_corpus(spec["path"]) if "path" in spec else generate_synthetic(spec["synth"])
+    return _load_labels_override(corpus, spec["labels"]) if "labels" in spec else corpus
 
 
 def build_corpora(config: dict) -> tuple[MultiLabelCorpus, MultiLabelCorpus | None]:
     """Train and eval corpora."""
-    corpus = _build_one_corpus(config["corpus"], config["seed"], "synth")
-    return corpus, build_eval_corpus(config)
-
-
-def build_eval_corpus(config: dict) -> MultiLabelCorpus | None:
-    """The eval corpus alone; a synthetic eval split inherits the train patterns."""
-    seed = config["seed"]
-    pattern_seed = None
-    if "synth" in config["corpus"]:
-        synth = config["corpus"]["synth"]
-        pattern_seed = synth.get("pattern_seed", synth.get("seed"))
-        if pattern_seed is None:
-            pattern_seed = int(stream(seed, "synth").integers(2**31))
-    return _build_one_corpus(config["eval_corpus"], seed, "synth_eval", pattern_seed)
+    return tuple(map(_build_one_corpus, corpus_specs(config)))
 
 
 def build_model_config(config: dict) -> ModelConfig:
     """Model shape from the training corpus's header (manifest or synth spec), not its data."""
-    spec = config["corpus"]
+    spec = corpus_specs(config)[0]
     if "path" in spec:
         shape, names, _ = read_manifest(spec["path"])
         num_classes = len(names)
     else:
-        synth = _synth_spec(spec["synth"])
-        shape, num_classes = synth.feature_shape, synth.num_classes
+        shape, num_classes = spec["synth"].feature_shape, spec["synth"].num_classes
     if len(shape) != 2:
         raise ConfigError(f"the model needs (time, freq) features, corpus shape is {shape}")
     m = config["model"]
@@ -407,19 +404,22 @@ def run_ablation(
     return rows
 
 
-def _load_run(run_dir: Path) -> dict:
-    """A finished run's config, validated again, for rebuilding the corpora it names."""
+def _load_run(run_dir: Path) -> tuple[dict, dict | None]:
+    """A finished run's corpus specs (``corpus_specs``); the rest of its config is not checked."""
     config_file, summary = rundir.read(run_dir)
-    config = load_config(config_file)
+    config = _read_json(config_file)
+    if not isinstance(config, dict):
+        raise ConfigError(f"{config_file}: a config must be a JSON object")
+    specs = corpus_specs(config, str(config_file))
     if summary.get("config_hash") not in (None, config_hash(config)):
         print(f"warning: config snapshot in {run_dir} was mutated after the run; "
               "reproduction is not guaranteed", file=sys.stderr)
-    return config
+    return specs
 
 
 def _eval_corpus(path: str | Path | None, run_dir: Path) -> MultiLabelCorpus:
     """The corpus at path, else the eval corpus the run was configured with."""
-    corpus = read_corpus(path) if path is not None else build_eval_corpus(_load_run(run_dir))
+    corpus = read_corpus(path) if path is not None else _build_one_corpus(_load_run(run_dir)[1])
     if corpus is None:
         raise ConfigError("no eval corpus: pass --corpus or configure one in the (first) run")
     return corpus
@@ -434,12 +434,13 @@ def run_enhance(
     strict: bool = False,
 ) -> dict:
     """Score the teacher run's corpora, build thresholds, write enhanced label sets."""
-    if not policies:
-        raise ConfigError("enhance needs at least one threshold policy")
+    policies = list(dict.fromkeys(policies))  # a repeated name is run once
+    if not policies or not set(policies) <= set(POLICIES):
+        raise ConfigError(f"enhance needs threshold policies from {POLICIES}, got {policies}")
     teacher_run = Path(teacher_run)
     out_dir = Path(out_dir)
 
-    corpus, eval_corpus = build_corpora(_load_run(teacher_run))
+    corpus, eval_corpus = map(_build_one_corpus, _load_run(teacher_run))
     teacher = rundir.load_model(teacher_run, corpus.class_names)
     onto = read_ontology(ontology_path, corpus.class_names)
 

@@ -14,7 +14,7 @@ from tagkit.cli import (
     SECTIONS,
     ConfigError,
     apply_toggle,
-    build_eval_corpus,
+    build_corpora,
     build_model_config,
     config_hash,
     load_config,
@@ -255,7 +255,7 @@ class TestRunTrain:
         config = tiny_config(tmp_path / "run", epochs=3)
         run_dir = run_train(config)
         model_config = build_model_config(config)
-        eval_corpus = build_eval_corpus(config)
+        eval_corpus = build_corpora(config)[1]
         members = [Model.from_vector(model_config, ParameterVector.load(p)).predict(
                        eval_corpus.features)
                    for p in sorted((run_dir / "checkpoints").glob("epoch_*.ckpt"))]
@@ -528,7 +528,7 @@ class TestRunReload:
         run_aggregate(manifest, tmp_path / "agg2", eval_corpus_path=corpus_dir)
         assert counted == {"read_corpus": 1, "generate_synthetic": 0}
 
-    def test_a_run_reads_back_after_its_training_corpus_moves(self, tmp_path):
+    def test_a_run_reads_back_after_its_training_corpus_moves(self, tmp_path, capsys):
         for split, n in (("train", 48), ("evalc", 32)):
             assert main(["synth", "--classes", "4", "--samples", str(n), "--seed", "3",
                          "--time-frames", "16", "--freq-bins", "8",
@@ -545,10 +545,30 @@ class TestRunReload:
                    "enhance": {"teacher_run": str(run_dir), "ontology": str(onto)}}
         (tmp_path / "s.json").write_text(json.dumps(student))
         evaluate_argv = ["eval", "--run", str(run_dir), "--corpus", str(tmp_path / "evalc")]
+        readers = {"eval": ["eval", "--run", str(run_dir)],
+                   "agg": ["aggregate", "--manifest", str(tmp_path / "m.txt")]}
         assert main([*evaluate_argv, "--out", str(tmp_path / "before.json")]) == 0
+        assert main([*readers["eval"], "--out", str(tmp_path / "eval_before.json")]) == 0
+        assert main([*readers["agg"], "--out", str(tmp_path / "agg_before")]) == 0
         (tmp_path / "train").rename(tmp_path / "moved")
         assert main([*evaluate_argv, "--out", str(tmp_path / "after.json")]) == 0
         assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+        # Without --corpus, eval and aggregate rebuild only the eval corpus.
+        assert main([*readers["eval"], "--out", str(tmp_path / "eval_after.json")]) == 0
+        assert main([*readers["agg"], "--out", str(tmp_path / "agg_after")]) == 0
+        assert ((tmp_path / "eval_after.json").read_bytes()
+                == (tmp_path / "eval_before.json").read_bytes())
+        before = sorted((tmp_path / "agg_before").iterdir())
+        assert [p.name for p in before] == sorted(p.name for p in (tmp_path / "agg_after").iterdir())
+        for path in before:
+            assert (tmp_path / "agg_after" / path.name).read_bytes() == path.read_bytes()
+        # enhance scores the training corpus, so it still needs it.
+        capsys.readouterr()
+        assert main(["enhance", "--teacher-run", str(run_dir), "--ontology", str(onto),
+                     "--out", str(tmp_path / "enh")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "enh").exists()
         assert main(["aggregate", "--manifest", str(tmp_path / "m.txt"), "--corpus",
                      str(tmp_path / "evalc"), "--out", str(tmp_path / "agg")]) == 0
         assert main(["train", "--config", str(tmp_path / "s.json")]) == 0
@@ -556,6 +576,52 @@ class TestRunReload:
         assert summary["class_names"] == [f"class{k:03d}" for k in range(4)]
         assert summary["model"] == {"num_classes": 4, "time_frames": 16, "freq_bins": 8,
                                     **config["model"]}
+
+    def test_readers_do_not_validate_the_run_config_again(self, tmp_path, monkeypatch):
+        import tagkit.cli as cli
+
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=2))
+        onto = tmp_path / "onto.txt"
+        write_ontology(Ontology.from_edges(4, [(0, 1)]), onto, [f"class{k:03d}" for k in range(4)])
+        (tmp_path / "m.txt").write_text(f"{run_dir}\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a finished run's config was validated again")
+
+        monkeypatch.setattr(cli, "validate_config", refuse)
+        assert main(["eval", "--run", str(run_dir)]) == 0
+        assert main(["aggregate", "--manifest", str(tmp_path / "m.txt"),
+                     "--out", str(tmp_path / "agg")]) == 0
+        assert main(["enhance", "--teacher-run", str(run_dir), "--ontology", str(onto),
+                     "--out", str(tmp_path / "enh")]) == 0
+
+    def test_enhance_checks_its_policies_before_reading_the_teacher(self, tmp_path, counted,
+                                                                    monkeypatch, capsys):
+        import tagkit.cli as cli
+
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
+        onto = tmp_path / "onto.txt"
+        write_ontology(Ontology.from_edges(4, [(0, 1)]), onto, [f"class{k:03d}" for k in range(4)])
+        predicts, thresholds = [], []
+        real_predict, real_thresholds = Model.predict, cli.make_thresholds
+        monkeypatch.setattr(Model, "predict", lambda self, *a, **k:
+                            predicts.append(1) or real_predict(self, *a, **k))
+        monkeypatch.setattr(cli, "make_thresholds", lambda *a, **k:
+                            thresholds.append(1) or real_thresholds(*a, **k))
+        argv = ["enhance", "--teacher-run", str(run_dir), "--ontology", str(onto),
+                "--out", str(tmp_path / "enh")]
+        counted.update(read_corpus=0, generate_synthetic=0)
+        capsys.readouterr()
+        assert main([*argv, "--policies", "mean,bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and "bogus" in err
+        assert counted == {"read_corpus": 0, "generate_synthetic": 0} and predicts == []
+        assert not (tmp_path / "enh").exists()
+        assert main([*argv, "--policies", "mean,mean"]) == 0
+        assert len(thresholds) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("mean: +")
+        assert json.loads((tmp_path / "enh" / "enhance_summary.json").read_text()).keys() == {"mean"}
 
 
 class TestBadInputExitCodes:
@@ -585,6 +651,20 @@ class TestBadInputExitCodes:
     def test_corrupt_run_config(self, tmp_path, capsys):
         run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
         (run_dir / "config.json").write_text('{"seed": ')
+        self.assert_config_error(["eval", "--run", str(run_dir)], capsys)
+
+    @pytest.mark.parametrize("edit", ["eval_corpus 5", "eval_corpus {}", "seed '3'",
+                                      "unknown eval synth key", "a JSON list"])
+    def test_hand_edited_run_config(self, tmp_path, capsys, edit):
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
+        config = json.loads((run_dir / "config.json").read_text())
+        synth = {**config["eval_corpus"]["synth"], "bogus": 1}
+        edited = {"eval_corpus 5": {**config, "eval_corpus": 5},
+                  "eval_corpus {}": {**config, "eval_corpus": {}},
+                  "seed '3'": {**config, "seed": "3"},
+                  "unknown eval synth key": {**config, "eval_corpus": {"synth": synth}},
+                  "a JSON list": [config]}[edit]
+        (run_dir / "config.json").write_text(json.dumps(edited))
         self.assert_config_error(["eval", "--run", str(run_dir)], capsys)
 
     def test_corrupt_run_summary(self, tmp_path, capsys):
@@ -865,8 +945,6 @@ class TestRunDirectoryContract:
 
 
 def test_class_csv_counts_are_training_class_counts(tmp_path):
-    from tagkit.cli import build_corpora
-
     config = tiny_config(tmp_path / "run", epochs=2)
     run_dir = run_train(config)
     counts = build_corpora(config)[0].labels.sum(axis=0).tolist()
@@ -875,3 +953,11 @@ def test_class_csv_counts_are_training_class_counts(tmp_path):
         rows = (run_dir / "eval" / f"epoch_{epoch:03d}.csv").read_text().splitlines()
         assert rows[0] == "class,ap,auc,count"
         assert [int(r.split(",")[3]) for r in rows[1:]] == counts
+
+
+def test_a_null_pattern_seed_gives_the_eval_split_the_training_patterns(tmp_path):
+    # null means the training split's own seed, as when pattern_seed is left out.
+    config = tiny_config(tmp_path / "run")
+    omitted = build_corpora(config)[1]
+    config["corpus"]["synth"]["pattern_seed"] = None
+    assert build_corpora(config)[1].features.tobytes() == omitted.features.tobytes()
