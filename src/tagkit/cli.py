@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config/input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import hashlib
@@ -377,7 +378,7 @@ def run_ablation(
     if num_seeds < 1:
         raise ConfigError(f"ablate needs at least one seed, got {num_seeds}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True)  # in place: each run's config.json records its output_dir
     variants = [("full", set())] + [(f"no-{t}", {t}) for t in toggles]
     rows = []
     for name, removed in variants:
@@ -397,7 +398,7 @@ def run_ablation(
                             ("weight_avg_map_mean", "weight_avg_map"),
                             ("ensemble_map_mean", "ensemble_map")):
             rows[-1][column] = float(np.mean([summary[key] for summary in summaries]))
-    with open(out_dir / "ablation.csv", "w", newline="") as fh:
+    with rundir.publish(out_dir / "ablation.csv") as partial, open(partial, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
@@ -425,115 +426,99 @@ def _eval_corpus(path: str | Path | None, run_dir: Path) -> MultiLabelCorpus:
     return corpus
 
 
-def run_enhance(
-    teacher_run: str | Path,
-    ontology_path: str | Path,
-    policies: list[str],
-    mode: str,
-    out_dir: str | Path,
-    strict: bool = False,
-) -> dict:
-    """Score the teacher run's corpora, build thresholds, write enhanced label sets."""
+def run_enhance(teacher_run: str | Path, ontology_path: str | Path, policies: list[str],
+                mode: str, out_dir: str | Path, strict: bool = False) -> dict:
+    """Score the teacher run's corpora, build thresholds, publish the enhanced label sets."""
     policies = list(dict.fromkeys(policies))  # a repeated name is run once
     if not policies or not set(policies) <= set(POLICIES):
         raise ConfigError(f"enhance needs threshold policies from {POLICIES}, got {policies}")
-    teacher_run = Path(teacher_run)
-    out_dir = Path(out_dir)
+    with rundir.publish(out_dir) as out:
+        teacher_run = Path(teacher_run)
+        corpus, eval_corpus = map(_build_one_corpus, _load_run(teacher_run))
+        teacher = rundir.load_model(teacher_run, corpus.class_names)
+        onto = read_ontology(ontology_path, corpus.class_names)
 
-    corpus, eval_corpus = map(_build_one_corpus, _load_run(teacher_run))
-    teacher = rundir.load_model(teacher_run, corpus.class_names)
-    onto = read_ontology(ontology_path, corpus.class_names)
-
-    train_labels = corpus.label_matrix()
-    train_scores = teacher.predict(corpus.features)
-    if eval_corpus is not None:
-        eval_labels = eval_corpus.label_matrix()
-        eval_scores = teacher.predict(eval_corpus.features)
-    outcomes = []
-    for policy in policies:
-        thresholds = make_thresholds(train_scores, train_labels, policy)
-        train_outcome = enhance(train_labels, train_scores, onto, thresholds,
-                                mode=mode, strict=strict)
-        eval_outcome = None
+        train_labels = corpus.label_matrix()
+        train_scores = teacher.predict(corpus.features)
         if eval_corpus is not None:
-            eval_outcome = enhance_eval_set(eval_labels, eval_scores, onto, thresholds,
-                                            mode=mode, strict=strict)
-        outcomes.append((policy, train_outcome, eval_outcome))
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = {}
-    for policy, (enhanced, audit), eval_outcome in outcomes:
-        write_labels(out_dir / f"train_labels_{policy}_{mode}.txt",
-                     corpus.ids, enhanced, corpus.class_names)
-        audit.write_csv(out_dir / f"audit_train_{policy}_{mode}.csv", corpus.class_names)
-        entry = {
-            "train_labels_added": audit.labels_added,
-            "train_added_pct": audit.added_pct,
-            "train_impacted_classes": len(audit.impacted_classes),
-        }
-        if eval_outcome is not None:
-            enhanced_eval, eval_audit = eval_outcome
-            write_labels(out_dir / f"eval_labels_{policy}_{mode}.txt",
-                         eval_corpus.ids, enhanced_eval, eval_corpus.class_names)
-            eval_audit.write_csv(out_dir / f"audit_eval_{policy}_{mode}.csv",
-                                 eval_corpus.class_names)
-            entry["eval_labels_added"] = eval_audit.labels_added
-        results[policy] = entry
-    (out_dir / "enhance_summary.json").write_text(json.dumps(results, indent=2) + "\n")
+            eval_labels = eval_corpus.label_matrix()
+            eval_scores = teacher.predict(eval_corpus.features)
+        out.mkdir()
+        results = {}
+        for policy in policies:
+            thresholds = make_thresholds(train_scores, train_labels, policy)
+            enhanced, audit = enhance(train_labels, train_scores, onto, thresholds,
+                                      mode=mode, strict=strict)
+            write_labels(out / f"train_labels_{policy}_{mode}.txt",
+                         corpus.ids, enhanced, corpus.class_names)
+            audit.write_csv(out / f"audit_train_{policy}_{mode}.csv", corpus.class_names)
+            entry = {
+                "train_labels_added": audit.labels_added,
+                "train_added_pct": audit.added_pct,
+                "train_impacted_classes": len(audit.impacted_classes),
+            }
+            if eval_corpus is not None:
+                enhanced_eval, eval_audit = enhance_eval_set(eval_labels, eval_scores, onto,
+                                                             thresholds, mode=mode, strict=strict)
+                write_labels(out / f"eval_labels_{policy}_{mode}.txt",
+                             eval_corpus.ids, enhanced_eval, eval_corpus.class_names)
+                eval_audit.write_csv(out / f"audit_eval_{policy}_{mode}.csv",
+                                     eval_corpus.class_names)
+                entry["eval_labels_added"] = eval_audit.labels_added
+            results[policy] = entry
+        (out / "enhance_summary.json").write_text(json.dumps(results, indent=2) + "\n")
     return results
 
 
-def run_aggregate(
-    manifest_path: str | Path,
-    out_dir: str | Path,
-    eval_corpus_path: str | Path | None = None,
-) -> dict:
-    """Ensemble the committee in a manifest of run directories; emit reports and curves."""
-    manifest_path = Path(manifest_path)
-    out_dir = Path(out_dir)
-    lines = [line.strip() for line in manifest_path.read_text().splitlines()]
-    run_dirs = [Path(line) for line in lines if line and not line.startswith("#")]
-    if not run_dirs:
-        raise ConfigError(f"committee manifest {manifest_path} lists no runs")
+def run_aggregate(manifest_path: str | Path, out_dir: str | Path,
+                  eval_corpus_path: str | Path | None = None) -> dict:
+    """Ensemble the committee in a manifest of run directories; publish reports and curves."""
+    with rundir.publish(out_dir) as out:
+        manifest_path = Path(manifest_path)
+        lines = [line.strip() for line in manifest_path.read_text().splitlines()]
+        run_dirs = [Path(line) for line in lines if line and not line.startswith("#")]
+        if not run_dirs:
+            raise ConfigError(f"committee manifest {manifest_path} lists no runs")
+        for i, run_dir in enumerate(run_dirs):
+            if run_dir.resolve() in [d.resolve() for d in run_dirs[:i]]:
+                raise ConfigError(f"committee manifest {manifest_path} lists {run_dir} twice")
 
-    eval_corpus = _eval_corpus(eval_corpus_path, run_dirs[0])
-    eval_feats = eval_corpus.features
-    eval_labels = eval_corpus.label_matrix()
+        eval_corpus = _eval_corpus(eval_corpus_path, run_dirs[0])
+        eval_feats = eval_corpus.features
+        eval_labels = eval_corpus.label_matrix()
 
-    models = [rundir.load_model(run_dir, eval_corpus.class_names) for run_dir in run_dirs]
-    members = [model.predict(eval_feats) for model in models]
-    committee = agg.Committee(members)
+        models = [rundir.load_model(run_dir, eval_corpus.class_names) for run_dir in run_dirs]
+        members = [model.predict(eval_feats) for model in models]
+        committee = agg.Committee(members)
 
-    member_reports = [evaluate(m, eval_labels) for m in members]
-    member_maps = [r.map for r in member_reports]
-    ens_report = evaluate(agg.ensemble_mean(committee), eval_labels)
-    # Start-epoch sweep over a single run's own checkpoint sequence.
-    points = None
-    if len(run_dirs) == 1:
-        points = agg.sweep_start_epoch(rundir.load_epochs(run_dirs[0]), models[0].config,
-                                       eval_feats, eval_labels)
+        member_reports = [evaluate(m, eval_labels) for m in members]
+        member_maps = [r.map for r in member_reports]
+        ens_report = evaluate(agg.ensemble_mean(committee), eval_labels)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, report in enumerate(member_reports):
-        report.write_json(out_dir / f"member_{i:03d}.json")
-    ens_report.write_json(out_dir / "ensemble_report.json")
-    with open(out_dir / "members.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["member", "map"])
-        for run_dir, m in zip(run_dirs, member_maps):
-            w.writerow([str(run_dir), repr(m)])
-    comparison = {
-        "num_members": len(members),
-        "avg_map": float(np.mean(member_maps)),
-        "best_map": float(np.max(member_maps)),
-        "ensemble_map": ens_report.map,
-    }
-    with open(out_dir / "comparison.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(comparison.keys()))
-        w.writeheader()
-        w.writerow(comparison)
-    if points is not None:
-        agg.write_sweep_csv(points, out_dir / "start_epoch_sweep.csv")
+        out.mkdir()
+        # Start-epoch sweep over a single run's own checkpoint sequence.
+        if len(run_dirs) == 1:
+            points = agg.sweep_start_epoch(rundir.load_epochs(run_dirs[0]), models[0].config,
+                                           eval_feats, eval_labels)
+            agg.write_sweep_csv(points, out / "start_epoch_sweep.csv")
+        for i, report in enumerate(member_reports):
+            report.write_json(out / f"member_{i:03d}.json")
+        ens_report.write_json(out / "ensemble_report.json")
+        with open(out / "members.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["member", "map"])
+            for run_dir, m in zip(run_dirs, member_maps):
+                w.writerow([str(run_dir), repr(m)])
+        comparison = {
+            "num_members": len(members),
+            "avg_map": float(np.mean(member_maps)),
+            "best_map": float(np.max(member_maps)),
+            "ensemble_map": ens_report.map,
+        }
+        with open(out / "comparison.csv", "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=list(comparison.keys()))
+            w.writeheader()
+            w.writerow(comparison)
     return comparison
 
 
@@ -610,8 +595,9 @@ def _cmd_synth(args) -> int:
         feature_shape=(args.time_frames, args.freq_bins),
         planted_signal_strength=args.signal_strength,
     )
-    corpus = generate_synthetic(spec)
-    write_corpus(corpus, args.out)
+    with rundir.publish(args.out) as out:
+        corpus = generate_synthetic(spec)
+        write_corpus(corpus, out)
     print(f"wrote {len(corpus)} samples, {corpus.num_classes} classes to {args.out}")
     return 0
 
@@ -624,25 +610,21 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    run_dir = Path(args.run)
-    eval_corpus = _eval_corpus(args.corpus, run_dir)
-    model = rundir.load_model(run_dir, eval_corpus.class_names, args.checkpoint)
-    report = evaluate(model.predict(eval_corpus.features), eval_corpus.label_matrix())
-    if args.out:
-        report.write_json(args.out)
+    with (rundir.publish(args.out) if args.out else contextlib.nullcontext()) as out:
+        run_dir = Path(args.run)
+        eval_corpus = _eval_corpus(args.corpus, run_dir)
+        model = rundir.load_model(run_dir, eval_corpus.class_names, args.checkpoint)
+        report = evaluate(model.predict(eval_corpus.features), eval_corpus.label_matrix())
+        if out:
+            report.write_json(out)
     print(f"mAP {report.map:.4f}  mean AUC {report.mean_auc:.4f}  d' {report.dprime:.3f}")
     return 0
 
 
 def _cmd_enhance(args) -> int:
-    results = run_enhance(
-        args.teacher_run,
-        args.ontology,
-        [p.strip() for p in args.policies.split(",") if p.strip()],
-        args.mode,
-        args.out,
-        strict=args.strict,
-    )
+    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    results = run_enhance(args.teacher_run, args.ontology, policies, args.mode, args.out,
+                          strict=args.strict)
     for policy, entry in results.items():
         print(f"{policy}: +{entry['train_labels_added']} labels "
               f"({entry['train_added_pct']:.1f}%)")
@@ -668,19 +650,20 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    corpus = read_corpus(args.corpus)
-    labels = corpus.label_matrix()
-    weights = make_weights(labels)
-    t_frames, f_bins = corpus.feature_shape
-    config = AugmentConfig(
-        freq_mask_max=min(AugmentConfig.freq_mask_max, f_bins),
-        time_mask_max=min(AugmentConfig.time_mask_max, t_frames),
-        mixup_rate=args.mixup_rate,
-        balanced=not args.plain,
-    )
-    config.validate(corpus.feature_shape)
-    trace = simulate_coverage(weights, labels, config, args.epochs, args.seed)
-    trace.write_csv(args.out)
+    with rundir.publish(args.out) as out:
+        corpus = read_corpus(args.corpus)
+        labels = corpus.label_matrix()
+        weights = make_weights(labels)
+        t_frames, f_bins = corpus.feature_shape
+        config = AugmentConfig(
+            freq_mask_max=min(AugmentConfig.freq_mask_max, f_bins),
+            time_mask_max=min(AugmentConfig.time_mask_max, t_frames),
+            mixup_rate=args.mixup_rate,
+            balanced=not args.plain,
+        )
+        config.validate(corpus.feature_shape)
+        trace = simulate_coverage(weights, labels, config, args.epochs, args.seed)
+        trace.write_csv(out)
     print(f"unseen after {args.epochs} epochs: {trace.unseen_fraction[-1]:.4f}")
     return 0
 
@@ -696,8 +679,8 @@ _COMMANDS = {
 }
 
 _CONFIG_ERRORS = (ConfigError, CorpusError, OntologyError, SamplerError, LabelFixError,
-                  ModelError, agg.AggregateError, FileNotFoundError, IsADirectoryError,
-                  NotADirectoryError, UnicodeDecodeError)
+                  ModelError, agg.AggregateError, FileExistsError, FileNotFoundError,
+                  IsADirectoryError, NotADirectoryError, UnicodeDecodeError)
 _NUMERICAL_ERRORS = (DivergenceError, MetricError)
 
 

@@ -269,7 +269,7 @@ def _check_ids(ids: list[str]) -> None:
 def write_corpus(corpus: MultiLabelCorpus, path: str | Path) -> None:
     _check_ids(corpus.ids)
     path = Path(path)
-    (path / "features").mkdir(parents=True, exist_ok=True)
+    (path / "features").mkdir(parents=True)
     shape_str = " ".join(str(d) for d in corpus.feature_shape)
     lines = ["version 1", f"feature_shape {shape_str}", f"num_samples {len(corpus)}"]
     lines += [f"class {name}" for name in corpus.class_names]

@@ -13,10 +13,14 @@
       summary.json                # written last: a run without it is unfinished
 
 ``create`` makes the directory with one exclusive mkdir, so no run ever
-writes into a path that exists, and ``finish`` writes summary.json through a
-rename, so it is whole or absent. summary.json records the run's model config
-and class table, so ``load_model`` reads any checkpoint back as a model from
-the run directory alone.
+writes into a path that exists, and ``finish`` writes summary.json through
+``publish``, so it is whole or absent. summary.json records the run's model
+config and class table, so ``load_model`` reads any checkpoint back as a model
+from the run directory alone.
+
+``publish`` is the only code that makes any other output of a command: a new
+path, built as a hidden ``.<name>.partial`` sibling that is renamed onto it on
+success and deleted on failure, or by the next command if this one is killed.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -34,6 +40,31 @@ WEIGHT_AVG = "weight_avg"
 
 class ConfigError(Exception):
     """Bad config or input, a run directory included; the CLI exits 2."""
+
+
+@contextmanager
+def publish(out: str | Path):
+    """Yield the hidden sibling path at which the block builds ``out``, a file or a
+    directory, and rename it onto ``out`` when the block ends. ``out`` must not exist,
+    before or after; if the block raises, the sibling is deleted."""
+    out = Path(out)
+    if os.path.lexists(out):
+        raise ConfigError(f"{out} already exists; --out must name a new path")
+    out.parent.mkdir(parents=True, exist_ok=True)  # the parent, not the output
+    partial = out.with_name(f".{out.name}.partial")
+    try:
+        _remove(partial)  # left by a killed command
+        yield partial
+        if os.path.lexists(out):  # rename would silently replace an empty directory
+            raise ConfigError(f"{out} was made while this command ran; its output is dropped")
+        partial.rename(out)
+    finally:
+        _remove(partial)
+
+
+def _remove(path: Path) -> None:
+    shutil.rmtree(path, ignore_errors=True)  # a directory, not a symlink to one
+    path.unlink(missing_ok=True)  # a file or a symlink; raises on a directory rmtree left
 
 
 def create(run_dir: Path, config: dict, init_report: dict | None, audit,
@@ -72,9 +103,8 @@ def finish(run_dir: Path, result, class_names: list[str], class_counts, summary:
         weight_avg.save(run_dir / f"{WEIGHT_AVG}.ckpt")
         wa_report.write_json(run_dir / "eval" / f"{WEIGHT_AVG}.json")
         ensemble_report.write_json(run_dir / "eval" / "checkpoint_ensemble.json")
-    partial = run_dir / "summary.json.tmp"
-    partial.write_text(json.dumps(summary, indent=2) + "\n")
-    os.replace(partial, run_dir / "summary.json")
+    with publish(run_dir / "summary.json") as partial:
+        partial.write_text(json.dumps(summary, indent=2) + "\n")
 
 
 def read(run_dir: Path) -> tuple[Path, dict]:

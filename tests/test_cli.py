@@ -961,3 +961,131 @@ def test_a_null_pattern_seed_gives_the_eval_split_the_training_patterns(tmp_path
     omitted = build_corpora(config)[1]
     config["corpus"]["synth"]["pattern_seed"] = None
     assert build_corpora(config)[1].features.tobytes() == omitted.features.tobytes()
+
+
+def _tree(root):
+    """Every path under root, with its bytes for a file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in [root, *root.rglob("*")]}
+
+
+class TestPublishedOutputs:
+    """A command's --out is a new path, published whole or not at all."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("published")
+        for name, seed in (("run", 0), ("other", 1)):
+            run_train(tiny_config(tmp_path / name, seed=seed, epochs=2))
+        write_ontology(Ontology.from_edges(4, [(0, 1), (0, 2), (1, 3)]), tmp_path / "onto.txt",
+                       [f"class{k:03d}" for k in range(4)])
+        (tmp_path / "solo.txt").write_text(f"{tmp_path / 'run'}\n")
+        (tmp_path / "pair.txt").write_text(f"{tmp_path / 'run'}\n{tmp_path / 'other'}\n")
+        (tmp_path / "c.json").write_text(json.dumps(tiny_config(tmp_path / "unused", epochs=1)))
+        return tmp_path
+
+    @staticmethod
+    def argv(command, work, out):
+        return {
+            "synth": ["synth", "--classes", "4", "--samples", "12", "--time-frames", "16",
+                      "--freq-bins", "8"],
+            "eval": ["eval", "--run", str(work / "run")],
+            "enhance": ["enhance", "--teacher-run", str(work / "run"),
+                        "--ontology", str(work / "onto.txt")],
+            "aggregate": ["aggregate", "--manifest", str(work / "solo.txt")],
+            "coverage": ["coverage", "--corpus", str(work / "corpus"), "--epochs", "2"],
+            "ablate": ["ablate", "--config", str(work / "c.json"), "--seeds", "1"],
+        }[command] + ["--out", str(out)]
+
+    def refused(self, argv, out, capsys):
+        """argv exits 2 with one config error line and leaves out as it was."""
+        before = _tree(out) if out.is_dir() and not out.is_symlink() else out.lstat()
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert (_tree(out) if out.is_dir() and not out.is_symlink() else out.lstat()) == before
+        assert not out.with_name(f".{out.name}.partial").exists()
+
+    def test_aggregate_over_a_one_run_committee_is_refused(self, work, capsys):
+        # The two-run call used to leave the one-run sweep beside its own reports.
+        out = work / "agg_stale"
+        assert main(self.argv("aggregate", work, out)) == 0
+        assert (out / "start_epoch_sweep.csv").is_file()
+        self.refused(["aggregate", "--manifest", str(work / "pair.txt"), "--out", str(out)],
+                     out, capsys)
+
+    def test_enhance_over_other_policies_is_refused(self, work, capsys):
+        # The mean-only call used to leave the p25 files beside a summary without p25.
+        out = work / "enh_stale"
+        assert main([*self.argv("enhance", work, out), "--policies", "mean,p25"]) == 0
+        self.refused([*self.argv("enhance", work, out), "--policies", "mean"], out, capsys)
+
+    def test_synth_over_a_larger_corpus_is_refused(self, work, capsys):
+        # The 6-clip call used to leave the other 6 payloads behind.
+        out = work / "synth_stale"
+        assert main(self.argv("synth", work, out)) == 0
+        argv = self.argv("synth", work, out)
+        argv[argv.index("--samples") + 1] = "6"
+        self.refused(argv, out, capsys)
+        assert len(list((out / "features").iterdir())) == 12
+
+    @pytest.mark.parametrize("kind", ["file", "empty directory", "symlink"])
+    @pytest.mark.parametrize("command", ["synth", "eval", "enhance", "aggregate", "coverage",
+                                         "ablate"])
+    def test_an_existing_out_is_refused_before_scoring(self, work, command, kind, capsys,
+                                                       monkeypatch):
+        if command == "coverage" and not (work / "corpus").exists():
+            assert main(self.argv("synth", work, work / "corpus")) == 0
+        out = work / f"{command}_{kind.replace(' ', '_')}"
+        if kind == "file":
+            out.write_text("keep\n")
+        elif kind == "empty directory":
+            out.mkdir()
+        else:
+            out.symlink_to(work / "nowhere")
+        predicts = []
+        monkeypatch.setattr(Model, "predict", lambda *a, **k: predicts.append(1))
+        self.refused(self.argv(command, work, out), out, capsys)
+        assert predicts == []
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_writer_that_fails_midway_leaves_nothing(self, work, error, monkeypatch):
+        import tagkit.cli as cli
+
+        calls, real = [], cli.write_labels
+
+        def fail_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise error("killed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_labels", fail_second)
+        out = work / f"enh_{error.__name__}"
+        with pytest.raises(error):
+            main(self.argv("enhance", work, out))
+        assert len(calls) == 2
+        assert not out.exists() and not (work / f".{out.name}.partial").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "aggregate", "coverage", "eval"])
+    def test_a_partial_sibling_left_by_a_killed_command_is_cleared(self, work, command):
+        if command == "coverage" and not (work / "corpus").exists():
+            assert main(self.argv("synth", work, work / "corpus")) == 0
+        out = work / f"{command}_again"
+        partial = work / f".{out.name}.partial"
+        partial.mkdir()
+        (partial / "stale.txt").write_text("from a killed command\n")
+        assert main(self.argv(command, work, out)) == 0
+        assert not partial.exists()
+        assert not (out / "stale.txt").exists()
+
+    def test_a_committee_may_not_list_a_run_twice(self, work, capsys):
+        # Counted twice, the run used to weigh double in the ensemble.
+        again = work / "other" / ".." / "run"
+        (work / "twice.txt").write_text(f"{work / 'run'}\n{work / 'other'}\n{again}\n")
+        argv = ["aggregate", "--manifest", str(work / "twice.txt"), "--out", str(work / "agg2")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: committee manifest {work / 'twice.txt'} lists {again} twice\n")
+        assert not (work / "agg2").exists()
