@@ -64,7 +64,7 @@ def publish(out: str | Path):
 
 def _remove(path: Path) -> None:
     shutil.rmtree(path, ignore_errors=True)  # a directory, not a symlink to one
-    path.unlink(missing_ok=True)  # a file or a symlink; raises on a directory rmtree left
+    path.unlink(missing_ok=True)  # a file or a symlink; raises if rmtree left a directory
 
 
 def create(run_dir: Path, config: dict, init_report: dict | None, audit,

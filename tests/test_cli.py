@@ -964,8 +964,9 @@ def test_a_null_pattern_seed_gives_the_eval_split_the_training_patterns(tmp_path
 
 
 def _tree(root):
-    """Every path under root, with its bytes for a file."""
-    return {p: p.read_bytes() if p.is_file() else None for p in [root, *root.rglob("*")]}
+    """root and every path under it, with its bytes for a file; root may be a symlink."""
+    return root.is_symlink(), {p: p.read_bytes() if p.is_file() else None
+                               for p in [root, *root.rglob("*")]}
 
 
 class TestPublishedOutputs:
@@ -981,6 +982,7 @@ class TestPublishedOutputs:
         (tmp_path / "solo.txt").write_text(f"{tmp_path / 'run'}\n")
         (tmp_path / "pair.txt").write_text(f"{tmp_path / 'run'}\n{tmp_path / 'other'}\n")
         (tmp_path / "c.json").write_text(json.dumps(tiny_config(tmp_path / "unused", epochs=1)))
+        assert main(TestPublishedOutputs.argv("synth", tmp_path, tmp_path / "corpus")) == 0
         return tmp_path
 
     @staticmethod
@@ -998,12 +1000,12 @@ class TestPublishedOutputs:
 
     def refused(self, argv, out, capsys):
         """argv exits 2 with one config error line and leaves out as it was."""
-        before = _tree(out) if out.is_dir() and not out.is_symlink() else out.lstat()
+        before = _tree(out)
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
-        assert (_tree(out) if out.is_dir() and not out.is_symlink() else out.lstat()) == before
+        assert _tree(out) == before
         assert not out.with_name(f".{out.name}.partial").exists()
 
     def test_aggregate_over_a_one_run_committee_is_refused(self, work, capsys):
@@ -1034,8 +1036,6 @@ class TestPublishedOutputs:
                                          "ablate"])
     def test_an_existing_out_is_refused_before_scoring(self, work, command, kind, capsys,
                                                        monkeypatch):
-        if command == "coverage" and not (work / "corpus").exists():
-            assert main(self.argv("synth", work, work / "corpus")) == 0
         out = work / f"{command}_{kind.replace(' ', '_')}"
         if kind == "file":
             out.write_text("keep\n")
@@ -1067,10 +1067,21 @@ class TestPublishedOutputs:
         assert len(calls) == 2
         assert not out.exists() and not (work / f".{out.name}.partial").exists()
 
+    def test_an_out_made_while_the_command_runs_is_kept(self, work, capsys, monkeypatch):
+        # A rename onto an empty directory would replace it without a word.
+        import tagkit.cli as cli
+
+        out, real = work / "enh_raced", cli.write_labels
+        monkeypatch.setattr(cli, "write_labels",
+                            lambda *a, **k: out.mkdir(exist_ok=True) or real(*a, **k))
+        capsys.readouterr()
+        assert main(self.argv("enhance", work, out)) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {out} was made while this command ran; its output is dropped\n")
+        assert list(out.iterdir()) == [] and not (work / f".{out.name}.partial").exists()
+
     @pytest.mark.parametrize("command", ["synth", "aggregate", "coverage", "eval"])
     def test_a_partial_sibling_left_by_a_killed_command_is_cleared(self, work, command):
-        if command == "coverage" and not (work / "corpus").exists():
-            assert main(self.argv("synth", work, work / "corpus")) == 0
         out = work / f"{command}_again"
         partial = work / f".{out.name}.partial"
         partial.mkdir()

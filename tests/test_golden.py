@@ -30,7 +30,7 @@ from tagkit.cli import main
 from tagkit.model import ParameterVector
 from tagkit.ontology import Ontology, write_ontology
 
-GOLDEN = Path(__file__).with_name("golden.json")
+GOLDEN = Path(__file__).resolve().with_name("golden.json")
 
 _SYNTH = ["--classes", "4", "--seed", "3", "--time-frames", "16", "--freq-bins", "8"]
 _TRAIN = {"epochs": 2, "batch_size": 16, "base_lr": 5e-3, "warmup_iters": 4,
@@ -89,10 +89,11 @@ def run_lifecycle() -> dict[str, str]:
 
 
 def test_cli_lifecycle_matches_golden_digests(tmp_path, monkeypatch):
-    golden = json.loads(GOLDEN.read_text())
-    if golden["fingerprint"] != fingerprint():
-        pytest.skip(f"golden digests were recorded on {golden['fingerprint']}, "
-                    f"this is {fingerprint()}")
+    golden, here = json.loads(GOLDEN.read_text()), fingerprint()
+    moved = {key: (golden["fingerprint"].get(key), here[key]) for key in here
+             if golden["fingerprint"].get(key) != here[key]}
+    if moved:
+        pytest.skip(f"golden digests were recorded on another fingerprint; (recorded, here): {moved}")
     monkeypatch.chdir(tmp_path)
     assert run_lifecycle() == golden["paths"]
 
