@@ -8,9 +8,9 @@
   maskings of the same matrix.
 - The mean of committee members' pre-sigmoid logits, which for the linear
   model variant equals the logits of the weight-averaged model.
-- Prediction and time-mean pooling with each PREDICT_BATCH slice of clips
-  upcast to float64 whole. ``Model.predict`` and ``Model.embed``, which
-  upcast a few clips at a time, must give byte-equal results.
+- Prediction and time-mean pooling with each clip upcast to float64 and
+  scored alone. ``Model.predict`` and ``Model.embed``, which upcast a few
+  clips at a time, must give byte-equal results.
 - Per-class AP and AUC, one class at a time: two stable sorts of each
   column, one for AP and one for the AUC midranks. ``metrics.evaluate``
   must give byte-equal per-class values.
@@ -32,7 +32,6 @@ from tagkit.model import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    PREDICT_BATCH,
     Model,
     ModelConfig,
     ParameterVector,
@@ -115,21 +114,19 @@ def mean_logits(
     return stacked.mean(axis=0)
 
 
-def full_batch_predict(model: Model, features: np.ndarray) -> np.ndarray:
-    """(N, C) probabilities, each PREDICT_BATCH slice upcast whole and run through ``forward``."""
+def clip_by_clip_predict(model: Model, features: np.ndarray) -> np.ndarray:
+    """(N, C) probabilities, each clip upcast alone and run through ``forward``."""
     out = np.empty((len(features), model.config.num_classes))
-    for lo in range(0, len(features), PREDICT_BATCH):
-        batch = np.asarray(features[lo : lo + PREDICT_BATCH], dtype=np.float64)
-        out[lo : lo + PREDICT_BATCH], _ = model.forward(batch)
+    for i, clip in enumerate(features):
+        out[i], _ = model.forward(np.asarray(clip, dtype=np.float64))
     return out
 
 
-def full_batch_time_means(features: np.ndarray) -> np.ndarray:
-    """(N, T, F) -> (N, 1, F) float64 time means, each PREDICT_BATCH slice upcast whole."""
+def clip_by_clip_time_means(features: np.ndarray) -> np.ndarray:
+    """(N, T, F) -> (N, 1, F) float64 time means, each clip upcast alone."""
     pooled = np.empty((len(features), 1, features.shape[2]))
-    for lo in range(0, len(features), PREDICT_BATCH):
-        batch = np.asarray(features[lo : lo + PREDICT_BATCH], dtype=np.float64)
-        pooled[lo : lo + PREDICT_BATCH] = batch.mean(axis=1, keepdims=True)
+    for i in range(len(features)):
+        pooled[i] = np.asarray(features[i : i + 1], dtype=np.float64).mean(axis=1)
     return pooled
 
 

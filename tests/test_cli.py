@@ -324,18 +324,24 @@ class TestCliCommands:
         assert main(["train", "--config", str(config_file)]) == 0
         assert main(["train", "--config", str(tmp_path / "missing.json")]) == 2
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        config_file = tmp_path / "c.json"
-        config_file.write_text(json.dumps({
-            "corpus": {"synth": {"num_classes": 4, "num_samples": 32, "seed": 1,
-                                 "feature_shape": [8, 4]}},
-            "model": {"variant": "linear"},
-            "augment": {"freq_mask_max": 2, "time_mask_max": 2},
-            "train": {"epochs": 1, "batch_size": 8, "base_lr": 1e308,
-                      "warmup_iters": 0},
-            "output_dir": str(tmp_path / "run"),
-        }))
-        assert main(["train", "--config", str(config_file)]) == 3
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, recwarn):
+        # The exit-3 message is the whole of stderr: no numpy overflow warning before it.
+        for variant in ("linear", "attention"):
+            config_file = tmp_path / f"{variant}.json"
+            config_file.write_text(json.dumps({
+                "corpus": {"synth": {"num_classes": 4, "num_samples": 32, "seed": 1,
+                                     "feature_shape": [8, 4]}},
+                "model": {"variant": variant, "num_heads": 2, "embed_dim": 4,
+                          "hidden_dim": 4, "time_strides": [2, 2]},
+                "augment": {"freq_mask_max": 2, "time_mask_max": 2},
+                "train": {"epochs": 1, "batch_size": 8, "base_lr": 1e308,
+                          "warmup_iters": 0},
+                "output_dir": str(tmp_path / variant),
+            }))
+            assert main(["train", "--config", str(config_file)]) == 3
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestAblation:
