@@ -17,7 +17,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .model import (DivergenceError, LRSchedule, Model, ModelConfig, ModelError,
                     load_external_init, train)
 from .ontology import OntologyError, read_ontology
 from .rng import stream
-from .rundir import ConfigError
+from .rundir import ConfigError, from_json
 from .sampler import AugmentConfig, SamplerError, make_weights, simulate_coverage
 
 ABLATION_TOGGLES = (
@@ -50,8 +50,7 @@ ABLATION_TOGGLES = (
 # -- config ----------------------------------------------------------------
 
 
-# The dataclass fields each section owns: their defaults are the section's
-# defaults, and each value must have its default's JSON type.
+# The dataclass fields each section owns: their defaults are the section's defaults.
 SECTIONS = {
     "model": [f for f in fields(ModelConfig)
               if f.name in ("variant", "num_heads", "embed_dim", "hidden_dim", "time_strides")],
@@ -59,13 +58,6 @@ SECTIONS = {
     "train": [f for f in fields(TrainConfig)
               if f.name in ("epochs", "batch_size", "report_last_k")] + list(fields(LRSchedule)),
 }
-_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
-               list: "a list of two integers"}
-# Each synth key's JSON type, by example: its default, or an integer for the two
-# required counts and for pattern_seed, which may also be null.
-_SYNTH_TYPES = {f.name: 0 if f.default is MISSING or f.default is None
-                else list(f.default) if isinstance(f.default, tuple) else f.default
-                for f in fields(SynthSpec)}
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -101,21 +93,14 @@ def merge_config(raw: dict, source: str = "<dict>") -> dict:
     for key, value in raw.items():
         if key not in config:
             raise ConfigError(f"{source}: unknown config key {key!r}")
-        if key in SECTIONS:
+        if key in SECTIONS:  # validate_config refuses a key the section does not own
             if not isinstance(value, dict):
                 raise ConfigError(f"{source}: {key} must be a JSON object")
-            _reject_unknown_keys(value, config[key], key, source)
             config[key].update(value)
         else:
             config[key] = value
     validate_config(config, source)
     return config
-
-
-def _has_json_type(value, default) -> bool:
-    if isinstance(default, list):
-        return type(value) is list and len(value) == 2 and all(type(v) is int for v in value)
-    return type(value) in ((int, float) if type(default) is float else (type(default),))
 
 
 def _reject_unknown_keys(spec: dict, allowed, name: str, source: str) -> None:
@@ -132,10 +117,11 @@ def _check_path(value, key: str, source: str) -> None:
         raise ConfigError(f"{source}: {key} does not exist: {value}")
 
 
-def validate_config(config: dict,
-                    source: str = "<dict>") -> tuple[ModelConfig, AugmentConfig, TrainConfig]:
-    """Structural checks, then the dataclasses' own on the corpus header shape, which it returns."""
-    for field, spec in zip(("corpus", "eval_corpus"), corpus_specs(config, source)):
+def validate_config(config: dict, source: str = "<dict>") -> tuple:
+    """Structural checks, then the dataclasses' own on the corpus header shape. Returns the
+    corpus specs (as ``corpus_specs``), the ModelConfig, AugmentConfig and TrainConfig."""
+    specs = corpus_specs(config, source)
+    for field, spec in zip(("corpus", "eval_corpus"), specs):
         for key in ("path", "labels"):
             if spec is not None and key in spec:
                 _check_path(spec[key], f"{field}.{key}", source)
@@ -160,18 +146,23 @@ def validate_config(config: dict,
             raise ConfigError(f"{source}: enhance.policy must be one of {POLICIES}")
         if enh.get("mode", "both") not in MODES:
             raise ConfigError(f"{source}: enhance.mode must be one of {MODES}")
-    for name in SECTIONS:
-        for key, default in DEFAULT_CONFIG[name].items():
-            if not _has_json_type(config[name][key], default):
-                raise ConfigError(f"{source}: {name}.{key} must be {_JSON_TYPES[type(default)]}")
-    model_config = build_model_config(config)
-    augment_config = AugmentConfig(**config["augment"])
-    augment_config.validate((model_config.time_frames, model_config.freq_bins))
-    t = config["train"]
-    schedule = LRSchedule(**{f.name: t[f.name] for f in fields(LRSchedule)})
-    train_config = TrainConfig(**{k: t[k] for k in ("epochs", "batch_size", "report_last_k")},
-                               schedule=schedule, seed=config["seed"])
-    return model_config, augment_config, train_config
+    # The model's shape comes from the training corpus's header (manifest or synth spec).
+    if "path" in specs[0]:
+        shape, names, _ = read_manifest(specs[0]["path"])
+        num_classes = len(names)
+    else:
+        shape, num_classes = specs[0]["synth"].feature_shape, specs[0]["synth"].num_classes
+    if len(shape) != 2:
+        raise ConfigError(f"the model needs (time, freq) features, corpus shape is {shape}")
+    model_config = from_json(ModelConfig, config["model"], "model", source,
+                             num_classes=num_classes, time_frames=shape[0], freq_bins=shape[1])
+    augment_config = from_json(AugmentConfig, config["augment"], "augment", source)
+    augment_config.validate(shape)
+    t, owned = config["train"], {f.name for f in fields(LRSchedule)}
+    schedule = from_json(LRSchedule, {k: v for k, v in t.items() if k in owned}, "train", source)
+    train_config = from_json(TrainConfig, {k: v for k, v in t.items() if k not in owned}, "train",
+                             source, schedule=schedule, seed=config["seed"])
+    return specs, model_config, augment_config, train_config
 
 
 def config_hash(config: dict) -> str:
@@ -191,20 +182,6 @@ def _load_labels_override(corpus: MultiLabelCorpus, labels_path: str) -> MultiLa
             raise ConfigError(f"labels override: unknown sample id {sid!r}")
         labels[row_of[sid]] = bits
     return corpus.with_labels(labels)
-
-
-def _synth_spec(synth: dict, **defaults) -> SynthSpec:
-    try:
-        spec = SynthSpec(**{**defaults, **synth})
-    except TypeError as err:
-        raise ConfigError(f"bad synth spec: {err}")
-    for key, value in synth.items():
-        example = _SYNTH_TYPES[key]
-        if not (_has_json_type(value, example) or key == "pattern_seed" and value is None):
-            raise ConfigError(f"bad synth spec: {key} must be {_JSON_TYPES[type(example)]}")
-    spec = replace(spec, feature_shape=tuple(spec.feature_shape))
-    spec.validate()
-    return spec
 
 
 def corpus_specs(config: dict, source: str = "<dict>") -> tuple[dict, dict | None]:
@@ -229,39 +206,23 @@ def corpus_specs(config: dict, source: str = "<dict>") -> tuple[dict, dict | Non
                 if key in spec and type(spec[key]) is not str:
                     raise ConfigError(f"{source}: {field}.{key} must be a string")
             if "synth" in spec:
-                synth = _synth_spec(spec["synth"], pattern_seed=pattern,
-                                    seed=int(stream(seed, stream_name).integers(2**31)))
+                synth = spec["synth"]
+                if isinstance(synth, dict):  # the two defaults a synth section may override
+                    synth = {"seed": int(stream(seed, stream_name).integers(2**31)),
+                             "pattern_seed": pattern, **synth}
+                synth = from_json(SynthSpec, synth, f"{field}.synth", source)
                 spec = {**spec, "synth": synth}
                 pattern = synth.seed if synth.pattern_seed is None else synth.pattern_seed
         specs.append(spec)
     return specs[0], specs[1]
 
 
-def _build_one_corpus(spec: dict | None) -> MultiLabelCorpus | None:
+def build_corpus(spec: dict | None) -> MultiLabelCorpus | None:
+    """The corpus a spec from ``corpus_specs`` names, or None for no spec."""
     if spec is None:
         return None
     corpus = read_corpus(spec["path"]) if "path" in spec else generate_synthetic(spec["synth"])
     return _load_labels_override(corpus, spec["labels"]) if "labels" in spec else corpus
-
-
-def build_corpora(config: dict) -> tuple[MultiLabelCorpus, MultiLabelCorpus | None]:
-    """Train and eval corpora."""
-    return tuple(map(_build_one_corpus, corpus_specs(config)))
-
-
-def build_model_config(config: dict) -> ModelConfig:
-    """Model shape from the training corpus's header (manifest or synth spec), not its data."""
-    spec = corpus_specs(config)[0]
-    if "path" in spec:
-        shape, names, _ = read_manifest(spec["path"])
-        num_classes = len(names)
-    else:
-        shape, num_classes = spec["synth"].feature_shape, spec["synth"].num_classes
-    if len(shape) != 2:
-        raise ConfigError(f"the model needs (time, freq) features, corpus shape is {shape}")
-    m = config["model"]
-    return ModelConfig(num_classes=num_classes, time_frames=shape[0], freq_bins=shape[1],
-                       **{**m, "time_strides": tuple(m["time_strides"])})
 
 
 # -- run directory workflow --------------------------------------------------
@@ -269,11 +230,11 @@ def build_model_config(config: dict) -> ModelConfig:
 
 def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
     """Execute one training run; its directory is made once the config, init and corpora load."""
-    model_config, augment_config, train_config = validate_config(config)
+    specs, model_config, augment_config, train_config = validate_config(config)
     run_dir = Path(run_dir if run_dir is not None else config["output_dir"])
     # The corpora load first: a model sized by a manifest's shape that cannot be
     # allocated would fail in the init with a bare MemoryError.
-    corpus, eval_corpus = build_corpora(config)
+    corpus, eval_corpus = map(build_corpus, specs)
     init_model = init_report = None
     if config["init_path"]:
         init_model, loaded, reinit = load_external_init(
@@ -420,7 +381,7 @@ def _load_run(run_dir: Path) -> tuple[dict, dict | None]:
 
 def _eval_corpus(path: str | Path | None, run_dir: Path) -> MultiLabelCorpus:
     """The corpus at path, else the eval corpus the run was configured with."""
-    corpus = read_corpus(path) if path is not None else _build_one_corpus(_load_run(run_dir)[1])
+    corpus = read_corpus(path) if path is not None else build_corpus(_load_run(run_dir)[1])
     if corpus is None:
         raise ConfigError("no eval corpus: pass --corpus or configure one in the (first) run")
     return corpus
@@ -434,7 +395,7 @@ def run_enhance(teacher_run: str | Path, ontology_path: str | Path, policies: li
         raise ConfigError(f"enhance needs threshold policies from {POLICIES}, got {policies}")
     with rundir.publish(out_dir) as out:
         teacher_run = Path(teacher_run)
-        corpus, eval_corpus = map(_build_one_corpus, _load_run(teacher_run))
+        corpus, eval_corpus = map(build_corpus, _load_run(teacher_run))
         teacher = rundir.load_model(teacher_run, corpus.class_names)
         onto = read_ontology(ontology_path, corpus.class_names)
 

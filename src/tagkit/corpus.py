@@ -120,7 +120,7 @@ class SynthSpec:
     planted_signal_strength: float = 1.0
     pattern_seed: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.num_classes < 2:
             raise CorpusError("num_classes must be >= 2")
         if self.num_samples < self.num_classes:
@@ -131,6 +131,8 @@ class SynthSpec:
             raise CorpusError("cooccurrence must be in [0, 1]")
         if self.planted_signal_strength < 0:
             raise CorpusError("planted_signal_strength must be >= 0")
+        if not all(map(math.isfinite, (self.imbalance_ratio, self.planted_signal_strength))):
+            raise CorpusError("imbalance_ratio and planted_signal_strength must be finite")
         if len(self.feature_shape) != 2 or any(d < 1 for d in self.feature_shape):
             raise CorpusError("feature_shape must be (time_frames, freq_bins)")
         if self.seed < 0 or (self.pattern_seed or 0) < 0:
@@ -186,7 +188,6 @@ def _plan_counts(spec: SynthSpec) -> tuple[np.ndarray, int, int]:
 
 def generate_synthetic(spec: SynthSpec) -> MultiLabelCorpus:
     """Generate a corpus deterministically from the spec (pure function of SynthSpec)."""
-    spec.validate()
     c, n = spec.num_classes, spec.num_samples
     t_frames, f_bins = spec.feature_shape
     rng = stream(spec.seed, "synth")

@@ -476,8 +476,8 @@ class LRSchedule:
     decay_factor: float = 0.5
 
     def __post_init__(self):
-        if not self.base_lr > 0:
-            raise ModelError("base_lr must be > 0")
+        if not 0 < self.base_lr < math.inf:
+            raise ModelError("base_lr must be finite and > 0")
         if self.warmup_iters < 0:
             raise ModelError("warmup_iters must be >= 0")
         if self.decay_period < 1:
@@ -514,6 +514,8 @@ class TrainConfig:
             raise ModelError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ModelError("batch_size must be >= 1")
+        if self.report_last_k < 1:
+            raise ModelError("report_last_k must be >= 1")
 
 
 @dataclass

@@ -21,6 +21,9 @@ from the run directory alone.
 ``publish`` is the only code that makes any other output of a command: a new
 path, built as a hidden ``.<name>.partial`` sibling that is renamed onto it on
 success and deleted on failure, or by the next command if this one is killed.
+
+``from_json`` is the one reader that turns a JSON object into a tagkit
+dataclass, for a config's sections and synth specs and for summary.json.
 """
 
 from __future__ import annotations
@@ -33,13 +36,48 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-from .model import Model, ModelConfig, ModelError, ParameterVector
+from .model import Model, ModelConfig, ParameterVector
 
 WEIGHT_AVG = "weight_avg"
 
 
 class ConfigError(Exception):
     """Bad config or input, a run directory included; the CLI exits 2."""
+
+
+# A dataclass field's JSON type, by its annotation (a string, as tagkit's modules postpone
+# annotations): a test, and its name for errors.
+_JSON_TYPES = {
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "int | None": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "tuple[int, int]": (lambda v: type(v) is list and len(v) == 2
+                        and all(type(x) is int for x in v), "a list of two integers"),
+}
+
+
+def from_json(cls, obj, name: str, source: str, /, **known):
+    """A ``cls`` from the JSON object ``obj`` named ``name`` in ``source``, plus the fields
+    in ``known``, which ``obj`` must not set.
+
+    Unknown keys are refused, each value must have the JSON type of its field's
+    annotation (nothing is cast), lists become tuples, and the dataclass runs its own checks.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{source}: {name} must be a JSON object")
+    annotations = {f.name: f.type for f in fields(cls) if f.name not in known}
+    for key, value in obj.items():
+        if key not in annotations:
+            raise ConfigError(f"{source}: unknown config key {name}.{key}")
+        is_type, json_type = _JSON_TYPES[annotations[key]]
+        if not is_type(value):
+            raise ConfigError(f"{source}: {name}.{key} must be {json_type}")
+    try:
+        return cls(**known, **{k: tuple(v) if type(v) is list else v for k, v in obj.items()})
+    except TypeError as err:  # a field without a default is missing
+        raise ConfigError(f"{source}: {name}: {err}") from None
 
 
 @contextmanager
@@ -163,18 +201,11 @@ def load_model(run_dir: Path, class_names: list[str], name: str | None = None) -
     summary = read(run_dir)[1]
     vector = load_checkpoint(run_dir, name)
     entry, recorded = summary.get("model"), summary.get("class_names")
-    names = {f.name for f in fields(ModelConfig)}
-    try:  # every field with its JSON type, and as many class names as classes
-        strides = entry["time_strides"]
-        ints = [entry[k] for k in names - {"variant", "time_strides"}]
-        if (entry.keys() != names or type(entry["variant"]) is not str
-                or type(strides) is not list or len(strides) != 2
-                or not all(type(v) is int for v in ints + strides)
-                or type(recorded) is not list or len(recorded) != entry["num_classes"]):
-            raise ModelError
-        config = ModelConfig(**{**entry, "time_strides": tuple(strides)})
-    except (TypeError, KeyError, ModelError):
-        raise ConfigError(f"{run_dir}: summary.json records no valid model config") from None
+    config = from_json(ModelConfig, entry, "model", str(run_dir / "summary.json"))
+    # every field is recorded, none defaulted, and as many class names as classes
+    if (entry.keys() != {f.name for f in fields(ModelConfig)}
+            or type(recorded) is not list or len(recorded) != config.num_classes):
+        raise ConfigError(f"{run_dir}: summary.json records no valid model config")
     if recorded != list(class_names):
         raise ConfigError(f"{run_dir} scores {len(recorded)} classes; the corpus's {len(class_names)}"
                           " are not the same names in the same order")

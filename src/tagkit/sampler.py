@@ -11,6 +11,7 @@ index blocks from the same stream and agree exactly with plan consumers.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,8 +49,10 @@ class AugmentConfig:
             raise SamplerError(f"time_mask_max must be in [0, {t_frames}]")
         if not 0.0 <= self.mixup_rate <= 1.0:
             raise SamplerError("mixup_rate must be in [0, 1]")
-        if self.mixup_alpha <= 0:
-            raise SamplerError("mixup_alpha must be > 0")
+        if not 0 < self.mixup_alpha < math.inf:
+            raise SamplerError("mixup_alpha must be finite and > 0")
+        if not math.isfinite(self.mask_value):
+            raise SamplerError("mask_value must be finite")
 
 
 def make_weights(labels: np.ndarray) -> np.ndarray:

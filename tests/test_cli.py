@@ -14,15 +14,16 @@ from tagkit.cli import (
     SECTIONS,
     ConfigError,
     apply_toggle,
-    build_corpora,
-    build_model_config,
+    build_corpus,
     config_hash,
+    corpus_specs,
     load_config,
     main,
     merge_config,
     run_aggregate,
     run_enhance,
     run_train,
+    validate_config,
 )
 from tagkit.corpus import read_corpus
 from tagkit.rundir import load_checkpoint as _teacher_checkpoint
@@ -161,13 +162,34 @@ def test_wrongly_typed_section_value_is_rejected_before_writing(tmp_path_factory
     ("corpus", {"synth": {"num_classes": 4, "num_samples": 48, "seed": -1}}),
     ("eval_corpus", {"synth": {"num_classes": 4, "num_samples": 32, "feature_shape": [16.0, 8]}}),
     ("eval_corpus", {"synth": {"num_classes": 4, "num_samples": 32, "pattern_seed": True}}),
+    ("eval_corpus", {"synth": [4, 32]}),
+    # json.dumps writes float("nan") and float("inf") as NaN and Infinity, which json.loads reads
+    ("corpus", {"synth": {"num_classes": 4, "num_samples": 48, "imbalance_ratio": float("nan")}}),
+    ("corpus", {"synth": {"num_classes": 4, "num_samples": 48, "imbalance_ratio": float("inf")}}),
+    ("eval_corpus", {"synth": {"num_classes": 4, "num_samples": 32,
+                               "planted_signal_strength": float("inf")}}),
+    ("augment", {"mixup_alpha": float("nan")}), ("augment", {"mixup_alpha": float("inf")}),
+    ("augment", {"mask_value": float("nan")}), ("augment", {"mask_value": float("-inf")}),
+    ("train", {"base_lr": float("inf")}), ("train", {"base_lr": float("nan")}),
+    ("train", {"report_last_k": 0}), ("train", {"report_last_k": -1}),
 ])
 def test_bad_config_exits_2_and_writes_nothing(tmp_path, section, patch):
     config = tiny_config(tmp_path / "run")
     config[section] = {**config[section], **patch}
     code, err = _train_exit(config, tmp_path)
-    assert code == 2 and err.startswith("config error: ") and "Traceback" not in err
+    assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf"])
+def test_synth_with_a_non_finite_ratio_exits_2_and_writes_nothing(tmp_path, capsys, ratio):
+    out = tmp_path / "c"
+    assert main(["synth", "--classes", "3", "--samples", "12", "--time-frames", "16",
+                 "--freq-bins", "8", "--ratio", ratio, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "imbalance_ratio" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_dir_must_be_a_string(tmp_path):
@@ -254,8 +276,8 @@ class TestRunTrain:
     def test_checkpoint_ensemble_matches_saved_checkpoints(self, tmp_path):
         config = tiny_config(tmp_path / "run", epochs=3)
         run_dir = run_train(config)
-        model_config = build_model_config(config)
-        eval_corpus = build_corpora(config)[1]
+        model_config = validate_config(config)[1]
+        eval_corpus = build_corpus(corpus_specs(config)[1])
         members = [Model.from_vector(model_config, ParameterVector.load(p)).predict(
                        eval_corpus.features)
                    for p in sorted((run_dir / "checkpoints").glob("epoch_*.ckpt"))]
@@ -513,6 +535,16 @@ class TestRunReload:
             monkeypatch.setattr(cli, name, wrapped)
         return calls
 
+    def test_train_resolves_the_corpus_specs_once_per_validation(self, tmp_path, monkeypatch):
+        import tagkit.cli as cli
+
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps(tiny_config(tmp_path / "run", epochs=1)))
+        calls, real = [], cli.corpus_specs
+        monkeypatch.setattr(cli, "corpus_specs", lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert main(["train", "--config", str(config_file)]) == 0
+        assert len(calls) == 2  # load_config's validation, then run_train's
+
     def test_eval_builds_only_the_eval_corpus(self, tmp_path, counted):
         run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
         counted.update(read_corpus=0, generate_synthetic=0)
@@ -685,6 +717,17 @@ class TestBadInputExitCodes:
                 (tmp_path / "m.txt").write_text(f"{run_dir}\n")
                 self.assert_config_error(argv, capsys)
 
+    @pytest.mark.parametrize("patch,drop", [
+        ({"num_heads": 2.0}, None), ({"time_strides": [2]}, None), ({"variant": 3}, None),
+        ({}, "hidden_dim"), ({}, "num_classes"), ({"dropout": 0.1}, None),
+    ])
+    def test_recorded_model_config_is_checked(self, tmp_path, capsys, patch, drop):
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
+        summary = json.loads((run_dir / "summary.json").read_text())
+        summary["model"] = {k: v for k, v in {**summary["model"], **patch}.items() if k != drop}
+        (run_dir / "summary.json").write_text(json.dumps(summary))
+        self.assert_config_error(["eval", "--run", str(run_dir)], capsys)
+
     def test_class_count_mismatch(self, tmp_path, capsys):
         four = run_train(tiny_config(tmp_path / "four", epochs=1))
         config = tiny_config(tmp_path / "three", epochs=1)
@@ -790,7 +833,7 @@ class TestBadInputExitCodes:
                                         "truncated payload", "size overflowing int64"])
     def test_malformed_init_checkpoint_header(self, tmp_path, capsys, defect):
         config = tiny_config(tmp_path / "run", epochs=1)
-        donor = Model.init(build_model_config(config), np.random.default_rng(0))
+        donor = Model.init(validate_config(config)[1], np.random.default_rng(0))
         donor.params_vector().save(tmp_path / "init.ckpt")
         header, payload = (tmp_path / "init.ckpt").read_bytes().split(b"\nEND\n", 1)
         version, first, second, *rest = header.split(b"\n")
@@ -953,7 +996,7 @@ class TestRunDirectoryContract:
 def test_class_csv_counts_are_training_class_counts(tmp_path):
     config = tiny_config(tmp_path / "run", epochs=2)
     run_dir = run_train(config)
-    counts = build_corpora(config)[0].labels.sum(axis=0).tolist()
+    counts = build_corpus(corpus_specs(config)[0]).labels.sum(axis=0).tolist()
     assert min(counts) > 0
     for epoch in (1, 2):
         rows = (run_dir / "eval" / f"epoch_{epoch:03d}.csv").read_text().splitlines()
@@ -964,9 +1007,9 @@ def test_class_csv_counts_are_training_class_counts(tmp_path):
 def test_a_null_pattern_seed_gives_the_eval_split_the_training_patterns(tmp_path):
     # null means the training split's own seed, as when pattern_seed is left out.
     config = tiny_config(tmp_path / "run")
-    omitted = build_corpora(config)[1]
+    omitted = build_corpus(corpus_specs(config)[1])
     config["corpus"]["synth"]["pattern_seed"] = None
-    assert build_corpora(config)[1].features.tobytes() == omitted.features.tobytes()
+    assert build_corpus(corpus_specs(config)[1]).features.tobytes() == omitted.features.tobytes()
 
 
 def _tree(root):

@@ -400,13 +400,14 @@ class TestLRSchedule:
 
     @pytest.mark.parametrize("kw", [dict(base_lr=0.0), dict(base_lr=-1e-3), dict(base_lr=math.nan),
                                     dict(warmup_iters=-5), dict(decay_factor=0.0),
-                                    dict(decay_factor=-0.5), dict(decay_factor=1.5)])
+                                    dict(decay_factor=-0.5), dict(decay_factor=1.5),
+                                    dict(base_lr=math.inf)])
     def test_out_of_range_rejected(self, kw):
         with pytest.raises(ModelError):
             LRSchedule(**kw)
 
     def test_range_edges_accepted(self):
-        LRSchedule(base_lr=math.inf, warmup_iters=0, decay_factor=1.0)  # inf forces divergence
+        LRSchedule(base_lr=sys.float_info.max, warmup_iters=0, decay_factor=1.0)
 
     def test_averaging_window_starts_at_quarter_rate(self):
         balanced = LRSchedule(base_lr=1e-3, decay_start_epoch=35)
@@ -470,7 +471,7 @@ class TestTrain:
     def test_divergence_aborts_with_diagnostic(self):
         corpus, _, mc, ac, tc = tiny_training_setup()
         bad = TrainConfig(epochs=2, batch_size=16, seed=0,
-                          schedule=LRSchedule(base_lr=math.inf, warmup_iters=0))
+                          schedule=LRSchedule(base_lr=1e300, warmup_iters=0))  # diverges
         with pytest.raises(DivergenceError, match="epoch"):
             train(corpus, mc, ac, bad)
 
