@@ -26,8 +26,7 @@ from . import aggregate as agg
 from . import rundir
 from .corpus import (CorpusError, MultiLabelCorpus, SynthSpec, _check_ids, generate_synthetic,
                      read_corpus, read_labels, read_manifest, write_corpus, write_labels)
-from .labelfix import (MODES, POLICIES, EnhanceAudit, LabelFixError, enhance, enhance_eval_set,
-                       make_thresholds)
+from .labelfix import MODES, POLICIES, LabelFixError, enhance, enhance_eval_set, make_thresholds
 from .metrics import MetricError, evaluate
 from .model import (DivergenceError, LRSchedule, Model, ModelConfig, ModelError, TrainConfig,
                     load_external_init, train)
@@ -68,8 +67,6 @@ DEFAULT_CONFIG = {
               for f in section} for name, section in SECTIONS.items()},
     "init_path": None,
     "weight_avg_start": None,  # null = first epoch with lr <= base/4
-    # optional pre-training label repair: needs a finished teacher run + ontology
-    "enhance": None,  # {"teacher_run": dir, "ontology": file, "policy": ..., "mode": ...}
 }
 
 
@@ -87,6 +84,13 @@ def _read_json(path: str | Path) -> object:
 
 
 def merge_config(raw: dict, source: str = "<dict>") -> dict:
+    config = _merge_defaults(raw, source)
+    validate_config(config, source)
+    return config
+
+
+def _merge_defaults(raw: dict, source: str) -> dict:
+    """``raw`` over DEFAULT_CONFIG, unknown top-level keys refused; not yet validated."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: a config must be a JSON object")
     config = copy.deepcopy(DEFAULT_CONFIG)
@@ -99,14 +103,7 @@ def merge_config(raw: dict, source: str = "<dict>") -> dict:
             config[key].update(value)
         else:
             config[key] = value
-    validate_config(config, source)
     return config
-
-
-def _reject_unknown_keys(spec: dict, allowed, name: str, source: str) -> None:
-    for key in spec:
-        if key not in allowed:
-            raise ConfigError(f"{source}: unknown config key {name}.{key}")
 
 
 def _check_path(value, key: str, source: str) -> None:
@@ -132,20 +129,6 @@ def validate_config(config: dict, source: str = "<dict>") -> tuple:
     start = config["weight_avg_start"]
     if start is not None and (type(start) is not int or start < 1):
         raise ConfigError(f"{source}: weight_avg_start must be null or an integer >= 1")
-    enh = config["enhance"]
-    if enh is not None:
-        if not isinstance(enh, dict) or "ontology" not in enh:
-            raise ConfigError(f"{source}: enhance requires an ontology path")
-        _reject_unknown_keys(enh, ("teacher_run", "ontology", "policy", "mode"), "enhance", source)
-        _check_path(enh["ontology"], "enhance.ontology", source)
-        if "teacher_run" not in enh:
-            raise ConfigError(f"{source}: enhance requires a teacher_run directory")
-        if type(enh["teacher_run"]) is not str:  # run_train's reader checks the run itself
-            raise ConfigError(f"{source}: enhance.teacher_run must be a string")
-        if enh.get("policy", "mean") not in POLICIES:
-            raise ConfigError(f"{source}: enhance.policy must be one of {POLICIES}")
-        if enh.get("mode", "both") not in MODES:
-            raise ConfigError(f"{source}: enhance.mode must be one of {MODES}")
     # The model's shape comes from the training corpus's header (manifest or synth spec).
     if "path" in specs[0]:
         shape, names, _ = read_manifest(specs[0]["path"])
@@ -201,7 +184,9 @@ def corpus_specs(config: dict, source: str = "<dict>") -> tuple[dict, dict | Non
         if spec is not None:
             if not isinstance(spec, dict) or not ({"path", "synth"} & set(spec)):
                 raise ConfigError(f"{source}: {field} needs a 'path' or a 'synth' section")
-            _reject_unknown_keys(spec, ("path", "synth", "labels"), field, source)
+            for key in spec:
+                if key not in ("path", "synth", "labels"):
+                    raise ConfigError(f"{source}: unknown config key {field}.{key}")
             for key in ("path", "labels"):
                 if key in spec and type(spec[key]) is not str:
                     raise ConfigError(f"{source}: {field}.{key} must be a string")
@@ -228,9 +213,11 @@ def build_corpus(spec: dict | None) -> MultiLabelCorpus | None:
 # -- run directory workflow --------------------------------------------------
 
 
-def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
-    """Execute one training run; its directory is made once the config, init and corpora load."""
-    specs, model_config, augment_config, train_config = validate_config(config)
+def run_train(config: dict, run_dir: str | Path | None = None, source: str = "<dict>") -> Path:
+    """Execute one training run; its directory is made once the config, init and corpora load.
+
+    ``config`` is validated here, and its errors name ``source``."""
+    specs, model_config, augment_config, train_config = validate_config(config, source)
     run_dir = Path(run_dir if run_dir is not None else config["output_dir"])
     # The corpora load first: a model sized by a manifest's shape that cannot be
     # allocated would fail in the init with a bare MemoryError.
@@ -241,10 +228,7 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
             model_config, config["init_path"], stream(config["seed"], "init")
         )
         init_report = {"loaded": loaded, "reinitialized": reinit}
-    audit = None
-    if config["enhance"] is not None:
-        corpus, audit = _apply_enhancement(config["enhance"], corpus)
-    rundir.create(run_dir, config, init_report, audit, corpus.class_names)
+    rundir.create(run_dir, config, init_report)
 
     result = train(
         corpus, model_config, augment_config, train_config,
@@ -284,19 +268,6 @@ def run_train(config: dict, run_dir: str | Path | None = None) -> Path:
     return run_dir
 
 
-def _apply_enhancement(enh: dict,
-                       corpus: MultiLabelCorpus) -> tuple[MultiLabelCorpus, EnhanceAudit]:
-    """Training labels repaired by a teacher run before training starts, and their audit."""
-    teacher = rundir.load_model(Path(enh["teacher_run"]), corpus.class_names)
-    onto = read_ontology(enh["ontology"], corpus.class_names)
-    labels = corpus.label_matrix()
-    scores = teacher.predict(corpus.features)
-    thresholds = make_thresholds(scores, labels, enh.get("policy", "mean"))
-    enhanced, audit = enhance(labels, scores, onto, thresholds,
-                              mode=enh.get("mode", "both"), strict=False)
-    return corpus.with_labels(enhanced), audit
-
-
 def _headline_for_variant(summary: dict, removed: set[str]) -> float:
     """Ensemble mAP unless ensembling is ablated, then weight-avg, then last-k mean."""
     if "ensemble" not in removed:
@@ -318,7 +289,6 @@ def apply_toggle(config: dict, toggle: str) -> dict:
     elif toggle == "pretrain-init":
         out["init_path"] = None
     elif toggle == "labelfix":
-        out["enhance"] = None
         out["corpus"].pop("labels", None)
     elif toggle in ("ensemble", "weight-avg"):
         pass  # reporting-side toggles; headline selection handles them
@@ -564,7 +534,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    run_dir = run_train(load_config(args.config), run_dir=args.out)
+    config = _merge_defaults(_read_json(args.config), args.config)
+    run_dir = run_train(config, run_dir=args.out, source=args.config)
     headline = rundir.read(run_dir)[1].get("headline_map")
     print(f"run complete: {run_dir}" + (f"  headline mAP {headline:.4f}" if headline else ""))
     return 0

@@ -3,7 +3,6 @@
     run_dir/
       config.json                 # the merged config, as trained
       init_report.json            # with init_path: tensors loaded and re-initialised
-      enhance_audit.csv           # with enhance: the teacher's label repairs
       checkpoints/epoch_<n>.ckpt
       train_log.csv               # epoch, iteration, lr, loss, eval_map
       eval/epoch_<n>.json|csv     # with an eval corpus: per-epoch reports
@@ -36,7 +35,8 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-from .model import Model, ModelConfig, ParameterVector
+from .corpus import CorpusError
+from .model import Model, ModelConfig, ModelError, ParameterVector
 
 WEIGHT_AVG = "weight_avg"
 
@@ -63,7 +63,8 @@ def from_json(cls, obj, name: str, source: str, /, **known):
     in ``known``, which ``obj`` must not set.
 
     Unknown keys are refused, each value must have the JSON type of its field's
-    annotation (nothing is cast), lists become tuples, and the dataclass runs its own checks.
+    annotation (nothing is cast), lists become tuples, and the dataclass runs its own checks;
+    every error names ``source`` and ``name``.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{source}: {name} must be a JSON object")
@@ -76,7 +77,7 @@ def from_json(cls, obj, name: str, source: str, /, **known):
             raise ConfigError(f"{source}: {name}.{key} must be {json_type}")
     try:
         return cls(**known, **{k: tuple(v) if type(v) is list else v for k, v in obj.items()})
-    except TypeError as err:  # a field without a default is missing
+    except (TypeError, ModelError, CorpusError) as err:  # TypeError: a required field is missing
         raise ConfigError(f"{source}: {name}: {err}") from None
 
 
@@ -105,8 +106,7 @@ def _remove(path: Path) -> None:
     path.unlink(missing_ok=True)  # a file or a symlink; raises if rmtree left a directory
 
 
-def create(run_dir: Path, config: dict, init_report: dict | None, audit,
-           class_names: list[str]) -> None:
+def create(run_dir: Path, config: dict, init_report: dict | None) -> None:
     """Make a new run directory and write what is known before training."""
     try:
         run_dir.mkdir(parents=True)
@@ -115,8 +115,6 @@ def create(run_dir: Path, config: dict, init_report: dict | None, audit,
     (run_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
     if init_report is not None:
         (run_dir / "init_report.json").write_text(json.dumps(init_report, indent=2) + "\n")
-    if audit is not None:
-        audit.write_csv(run_dir / "enhance_audit.csv", class_names)
 
 
 def finish(run_dir: Path, result, class_names: list[str], class_counts, summary: dict,

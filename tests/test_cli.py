@@ -25,7 +25,7 @@ from tagkit.cli import (
     run_train,
     validate_config,
 )
-from tagkit.corpus import read_corpus
+from tagkit.corpus import read_corpus, write_labels
 from tagkit.rundir import load_checkpoint as _teacher_checkpoint
 from tagkit.metrics import evaluate
 from tagkit.model import Model, ParameterVector
@@ -54,10 +54,18 @@ def tiny_config(out_dir, seed=0, epochs=3):
 
 
 class TestConfig:
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="bogus"):
             merge_config({"bogus": 1, "corpus": {"synth": {"num_classes": 2,
                                                             "num_samples": 4}}})
+        # Repaired labels come from `tagkit enhance`'s label file, through corpus.labels.
+        for enhance in ({"teacher_run": str(tmp_path), "ontology": str(tmp_path)}, None):
+            code, err = _train_exit({**tiny_config(tmp_path / "run"), "enhance": enhance},
+                                    tmp_path)
+            assert code == 2 and err.count("\n") == 1
+            assert err.startswith(f"config error: {tmp_path / 'c.json'}: unknown config key "
+                                  "'enhance'")
+            assert not (tmp_path / "run").exists()
 
     def test_missing_corpus_rejected(self):
         with pytest.raises(ConfigError, match="corpus"):
@@ -82,7 +90,7 @@ class TestConfig:
         config = merge_config({"seed": 1, "corpus": {"synth": {"num_classes": 2,
                                                                 "num_samples": 4}}})
         assert config_hash(config) == (
-            "46d4b53bf87cae52b9be43eff7b21dcccb541df17a23f1c64a658c13314c4aad")
+            "653730d127397191d2dc376da5a5e68f4b4e6b0a7fc0d2f9d4ede580826fa1ab")
 
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -200,18 +208,10 @@ def test_output_dir_must_be_a_string(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-def _config_with_enhance(tmp_path) -> dict:
-    config = tiny_config(tmp_path / "run")
-    (tmp_path / "o.txt").write_text("class000 class001\n")
-    config["enhance"] = {"teacher_run": str(tmp_path), "ontology": str(tmp_path / "o.txt")}
-    return config
-
-
 @pytest.mark.parametrize("key", ["corpus.path", "eval_corpus.path", "corpus.labels",
-                                 "eval_corpus.labels", "init_path", "enhance.ontology",
-                                 "enhance.teacher_run"])
+                                 "eval_corpus.labels", "init_path"])
 def test_path_valued_key_must_be_a_string(tmp_path, key):
-    config = _config_with_enhance(tmp_path)
+    config = tiny_config(tmp_path / "run")
     section, _, name = key.rpartition(".")
     (config[section] if section else config)[name] = 5
     code, err = _train_exit(config, tmp_path)
@@ -220,10 +220,9 @@ def test_path_valued_key_must_be_a_string(tmp_path, key):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("section,key", [("corpus", "lables"), ("eval_corpus", "pth"),
-                                         ("enhance", "polcy")])
+@pytest.mark.parametrize("section,key", [("corpus", "lables"), ("eval_corpus", "pth")])
 def test_misspelt_key_in_a_corpus_or_enhance_spec_is_rejected(tmp_path, section, key):
-    config = _config_with_enhance(tmp_path)
+    config = tiny_config(tmp_path / "run")
     config[section][key] = "p10"
     code, err = _train_exit(config, tmp_path)
     assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
@@ -448,23 +447,28 @@ class TestEnhancePipeline:
         student_dir = run_train(config)
         assert (student_dir / "summary.json").is_file()
 
-    def test_enhance_config_requires_ontology(self, tmp_path):
-        raw = {
-            "corpus": {"synth": {"num_classes": 4, "num_samples": 16,
-                                 "feature_shape": [8, 4]}},
-            "enhance": {"teacher_run": str(tmp_path)},
-        }
-        with pytest.raises(ConfigError, match="ontology"):
-            merge_config(raw)
-
-    def test_enhance_config_retrains_on_repaired_labels(self, teacher_setup, tmp_path):
-        run_dir, onto_path, _ = teacher_setup
-        config = tiny_config(tmp_path / "student2", epochs=1)
-        config["enhance"] = {"teacher_run": str(run_dir), "ontology": str(onto_path),
-                             "policy": "p10", "mode": "both"}
-        student = run_train(config)
-        assert (student / "enhance_audit.csv").is_file()
-        assert (student / "summary.json").is_file()
+    def test_strict_refuses_a_candidate_class_without_a_threshold(self, tmp_path, capsys,
+                                                                  caplog):
+        # The teacher trains on labels where class003 has no positive, so no policy
+        # defines its threshold, and the ontology makes it a repair candidate.
+        config = tiny_config(tmp_path / "teacher", epochs=1)
+        corpus = build_corpus(corpus_specs(config)[0])
+        labels = corpus.label_matrix()
+        labels[labels[:, 3] == 1, 0] = 1  # no sample is left without a label
+        labels[:, 3] = 0
+        write_labels(tmp_path / "labels.txt", corpus.ids, labels, corpus.class_names)
+        config["corpus"]["labels"] = str(tmp_path / "labels.txt")
+        run_dir = run_train(config)
+        (tmp_path / "onto.txt").write_text("class001 class003\n")
+        argv = ["enhance", "--teacher-run", str(run_dir), "--ontology", str(tmp_path / "onto.txt")]
+        capsys.readouterr()
+        assert main([*argv, "--strict", "--out", str(tmp_path / "strict")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: candidate classes [3] have undefined thresholds\n")
+        assert not (tmp_path / "strict").exists()
+        assert main([*argv, "--out", str(tmp_path / "lenient")]) == 0
+        assert "skipping candidate classes with undefined thresholds: [3]" in caplog.text
+        assert (tmp_path / "lenient" / "train_labels_mean_both.txt").is_file()
 
     def test_eval_split_is_scored_once(self, teacher_setup, monkeypatch):
         run_dir, onto_path, tmp_path = teacher_setup
@@ -538,12 +542,19 @@ class TestRunReload:
     def test_train_resolves_the_corpus_specs_once_per_validation(self, tmp_path, monkeypatch):
         import tagkit.cli as cli
 
+        assert main(["synth", "--classes", "4", "--samples", "48", "--time-frames", "16",
+                     "--freq-bins", "8", "--out", str(tmp_path / "train")]) == 0
         config_file = tmp_path / "c.json"
-        config_file.write_text(json.dumps(tiny_config(tmp_path / "run", epochs=1)))
-        calls, real = [], cli.corpus_specs
-        monkeypatch.setattr(cli, "corpus_specs", lambda *a, **k: calls.append(1) or real(*a, **k))
+        config_file.write_text(json.dumps({**tiny_config(tmp_path / "run", epochs=1),
+                                           "corpus": {"path": str(tmp_path / "train")}}))
+        calls = {"corpus_specs": 0, "read_manifest": 0}
+        for name in calls:
+            def wrapped(*a, _name=name, _real=getattr(cli, name), **k):
+                calls[_name] += 1
+                return _real(*a, **k)
+            monkeypatch.setattr(cli, name, wrapped)
         assert main(["train", "--config", str(config_file)]) == 0
-        assert len(calls) == 2  # load_config's validation, then run_train's
+        assert calls == {"corpus_specs": 1, "read_manifest": 1}  # one validation per train
 
     def test_eval_builds_only_the_eval_corpus(self, tmp_path, counted):
         run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
@@ -578,10 +589,6 @@ class TestRunReload:
         onto = tmp_path / "onto.txt"
         write_ontology(Ontology.from_edges(4, [(0, 1)]), onto, [f"class{k:03d}" for k in range(4)])
         (tmp_path / "m.txt").write_text(f"{run_dir}\n")
-        student = {**config, "output_dir": str(tmp_path / "student"),
-                   "corpus": {"path": str(tmp_path / "evalc")},
-                   "enhance": {"teacher_run": str(run_dir), "ontology": str(onto)}}
-        (tmp_path / "s.json").write_text(json.dumps(student))
         evaluate_argv = ["eval", "--run", str(run_dir), "--corpus", str(tmp_path / "evalc")]
         readers = {"eval": ["eval", "--run", str(run_dir)],
                    "agg": ["aggregate", "--manifest", str(tmp_path / "m.txt")]}
@@ -609,7 +616,6 @@ class TestRunReload:
         assert not (tmp_path / "enh").exists()
         assert main(["aggregate", "--manifest", str(tmp_path / "m.txt"), "--corpus",
                      str(tmp_path / "evalc"), "--out", str(tmp_path / "agg")]) == 0
-        assert main(["train", "--config", str(tmp_path / "s.json")]) == 0
         summary = json.loads((run_dir / "summary.json").read_text())
         assert summary["class_names"] == [f"class{k:03d}" for k in range(4)]
         assert summary["model"] == {"num_classes": 4, "time_frames": 16, "freq_bins": 8,
@@ -663,11 +669,12 @@ class TestRunReload:
 
 
 class TestBadInputExitCodes:
-    def assert_config_error(self, argv, capsys):
+    def assert_config_error(self, argv, capsys) -> str:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        return err
 
     def test_truncated_checkpoint_payload(self, tmp_path, capsys):
         run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
@@ -720,13 +727,15 @@ class TestBadInputExitCodes:
     @pytest.mark.parametrize("patch,drop", [
         ({"num_heads": 2.0}, None), ({"time_strides": [2]}, None), ({"variant": 3}, None),
         ({}, "hidden_dim"), ({}, "num_classes"), ({"dropout": 0.1}, None),
+        ({"num_heads": 0}, None),  # right JSON types, refused by ModelConfig's own check
     ])
     def test_recorded_model_config_is_checked(self, tmp_path, capsys, patch, drop):
         run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
         summary = json.loads((run_dir / "summary.json").read_text())
         summary["model"] = {k: v for k, v in {**summary["model"], **patch}.items() if k != drop}
         (run_dir / "summary.json").write_text(json.dumps(summary))
-        self.assert_config_error(["eval", "--run", str(run_dir)], capsys)
+        err = self.assert_config_error(["eval", "--run", str(run_dir)], capsys)
+        assert str(run_dir) in err and "summary.json" in err
 
     def test_class_count_mismatch(self, tmp_path, capsys):
         four = run_train(tiny_config(tmp_path / "four", epochs=1))
@@ -744,12 +753,7 @@ class TestBadInputExitCodes:
                      "--freq-bins", "8", "--out", str(renamed)]) == 0
         for name in ("manifest.txt", "labels.txt"):
             (renamed / name).write_text((renamed / name).read_text().replace("class0", "other0"))
-        onto = tmp_path / "onto.txt"
-        write_ontology(Ontology.from_edges(4, [(0, 1)]), onto, [f"other{k:03d}" for k in range(4)])
         (tmp_path / "m4.txt").write_text(f"{four}\n")
-        student = {**tiny_config(tmp_path / "student", epochs=1), "corpus": {"path": str(renamed)},
-                   "enhance": {"teacher_run": str(four), "ontology": str(onto)}}
-        (tmp_path / "s.json").write_text(json.dumps(student))
         capsys.readouterr()
         for argv in (["aggregate", "--manifest", str(tmp_path / "m.txt"),
                       "--out", str(tmp_path / "agg")],
@@ -758,11 +762,9 @@ class TestBadInputExitCodes:
                       str(corpus_dir), "--out", str(tmp_path / "agg")],
                      ["eval", "--run", str(four), "--corpus", str(renamed)],
                      ["aggregate", "--manifest", str(tmp_path / "m4.txt"), "--corpus",
-                      str(renamed), "--out", str(tmp_path / "agg")],
-                     ["train", "--config", str(tmp_path / "s.json")]):
+                      str(renamed), "--out", str(tmp_path / "agg")]):
             self.assert_config_error(argv, capsys)
-        for out in ("agg", "student"):
-            assert not (tmp_path / out).exists()
+        assert not (tmp_path / "agg").exists()
 
     def test_ablate_without_eval_corpus_fails_before_training(self, tmp_path, capsys):
         config = {**tiny_config(tmp_path / "run", epochs=1), "eval_corpus": None}
@@ -976,20 +978,16 @@ class TestRunDirectoryContract:
         write_ontology(Ontology.from_edges(4, [(0, 1)]), onto,
                        [f"class{k:03d}" for k in range(4)])
         (tmp_path / "m.txt").write_text(f"{run_dir}\n")
-        student = tiny_config(tmp_path / "student", epochs=1)
-        student["enhance"] = {"teacher_run": str(run_dir), "ontology": str(onto)}
-        (tmp_path / "s.json").write_text(json.dumps(student))
         capsys.readouterr()
         for argv in (["eval", "--run", str(run_dir)],
                      ["enhance", "--teacher-run", str(run_dir), "--ontology", str(onto),
                       "--out", str(tmp_path / "enh")],
                      ["aggregate", "--manifest", str(tmp_path / "m.txt"),
-                      "--out", str(tmp_path / "agg")],
-                     ["train", "--config", str(tmp_path / "s.json")]):
+                      "--out", str(tmp_path / "agg")]):
             assert main(argv) == 2
             assert capsys.readouterr().err == (
                 f"config error: not a finished run (no summary.json): {run_dir}\n")
-        for out in ("enh", "agg", "student"):
+        for out in ("enh", "agg"):
             assert not (tmp_path / out).exists()
 
 

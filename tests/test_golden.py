@@ -1,11 +1,12 @@
 """Golden digests: every path a small CLI lifecycle leaves behind, byte for byte.
 
-The lifecycle runs ``synth``, ``train`` for both variants (the linear one with
-``init_path`` and ``enhance``), ``eval --out``, ``enhance``, ``aggregate``,
-``coverage`` and a one-toggle, one-seed ``ablate`` in an empty working directory
-with relative paths. The sha256 of every file under it, hidden ones included, and
-the name of every directory must match ``tests/golden.json``: a refactor leaves that
-file unchanged, and a change that moves bits regenerates it with
+The lifecycle runs ``synth``, ``train`` of an attention teacher, ``eval --out``,
+``enhance``, ``train`` of a linear student (with ``init_path``, on the teacher's
+repaired labels), ``aggregate``, ``coverage`` and a one-toggle, one-seed ``ablate``
+in an empty working directory with relative paths. The sha256 of every file under
+it, hidden ones included, and the name of every directory must match
+``tests/golden.json``: a refactor leaves that file unchanged, and a change that
+moves bits regenerates it with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -46,16 +47,16 @@ TEACHER = {
 STUDENT = {
     **TEACHER, "output_dir": "student", "model": {"variant": "linear"},
     "init_path": "init.ckpt",
-    "enhance": {"teacher_run": "teacher", "ontology": "onto.txt", "policy": "p25"},
+    "corpus": {"path": "train", "labels": "enhanced/train_labels_p25_both.txt"},
 }
 COMMANDS = [
     ["synth", *_SYNTH, "--samples", "48", "--ratio", "6", "--out", "train"],
     ["synth", *_SYNTH, "--samples", "32", "--ratio", "1", "--out", "evalc"],
     ["train", "--config", "teacher.json"],
-    ["train", "--config", "student.json"],
     ["eval", "--run", "teacher", "--checkpoint", "epoch_001", "--out", "eval.json"],
     ["enhance", "--teacher-run", "teacher", "--ontology", "onto.txt",
      "--policies", "mean,p25", "--out", "enhanced"],
+    ["train", "--config", "student.json"],
     ["aggregate", "--manifest", "solo.txt", "--out", "agg_solo"],
     ["aggregate", "--manifest", "pair.txt", "--out", "agg_pair"],
     ["coverage", "--corpus", "train", "--epochs", "3", "--out", "coverage.csv"],
