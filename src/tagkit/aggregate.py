@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import evaluate
-from .model import Model, ModelConfig, ParameterVector
+from .model import Model, ModelConfig, ModelError, ParameterVector
 
 
 class AggregateError(Exception):
@@ -99,7 +99,11 @@ def sweep_start_epoch(
         # The linear model reads its input only through the time mean, which no
         # checkpoint changes: pool once and predict on one-frame clips, whose
         # mean is exact.
-        eval_features = Model(config, checkpoints[0]).embed(eval_features)[:, None, :]
+        want = (config.time_frames, config.freq_bins)
+        if eval_features.ndim != 3 or eval_features.shape[1:] != want:
+            raise ModelError(f"input shape {eval_features.shape[1:]} != configured {want}")
+        # Reductions with dtype= are buffered: no float64 copy of the corpus is made.
+        eval_features = np.mean(eval_features, axis=1, keepdims=True, dtype=np.float64)
         config = replace(config, time_frames=1)
     # The last start averages one checkpoint: both its averages are that member's predictions.
     starts = range(1, len(checkpoints))

@@ -210,6 +210,22 @@ def build_corpus(spec: dict | None) -> MultiLabelCorpus | None:
     return _load_labels_override(corpus, spec["labels"]) if "labels" in spec else corpus
 
 
+def _build_corpora(specs) -> tuple[MultiLabelCorpus, MultiLabelCorpus | None]:
+    """The train and eval corpora of ``corpus_specs``' specs.
+
+    An eval corpus must share the training corpus's class table and clip shape: the
+    model scores the classes it was trained on, in that order, on clips of one shape."""
+    corpus, eval_corpus = map(build_corpus, specs)
+    if eval_corpus is not None:
+        if eval_corpus.class_names != corpus.class_names:
+            raise ConfigError(f"the eval corpus's {eval_corpus.num_classes} classes are not the"
+                              f" training corpus's {corpus.num_classes} in the same order")
+        if eval_corpus.feature_shape != corpus.feature_shape:
+            raise ConfigError(f"the eval corpus's clip shape {eval_corpus.feature_shape} is not"
+                              f" the training corpus's {corpus.feature_shape}")
+    return corpus, eval_corpus
+
+
 # -- run directory workflow --------------------------------------------------
 
 
@@ -221,7 +237,7 @@ def run_train(config: dict, run_dir: str | Path | None = None, source: str = "<d
     run_dir = Path(run_dir if run_dir is not None else config["output_dir"])
     # The corpora load first: a model sized by a manifest's shape that cannot be
     # allocated would fail in the init with a bare MemoryError.
-    corpus, eval_corpus = map(build_corpus, specs)
+    corpus, eval_corpus = _build_corpora(specs)
     init_model = init_report = None
     if config["init_path"]:
         init_model, loaded, reinit = load_external_init(
@@ -365,7 +381,7 @@ def run_enhance(teacher_run: str | Path, ontology_path: str | Path, policies: li
         raise ConfigError(f"enhance needs threshold policies from {POLICIES}, got {policies}")
     with rundir.publish(out_dir) as out:
         teacher_run = Path(teacher_run)
-        corpus, eval_corpus = map(build_corpus, _load_run(teacher_run))
+        corpus, eval_corpus = _build_corpora(_load_run(teacher_run))
         teacher = rundir.load_model(teacher_run, corpus.class_names)
         onto = read_ontology(ontology_path, corpus.class_names)
 

@@ -72,10 +72,10 @@ class ModelConfig:
                 )
 
 
-# Model.embed upcasts float32 clips to float64 at most this many bytes at a time,
-# and Model.predict scores clips in groups whose largest per-clip head array (the
-# input, the (H, T', C) attention maps or the scores) fills at most this many bytes.
-# Both bound memory; a 2048x527 sigmoid took 8.9 ms whole, 5.9 ms in 1 MiB pieces.
+# Model.predict scores clips in groups whose largest per-clip float64 array (the
+# upcast input, the stage-1 activations, the (H, T', C) attention maps or the
+# scores) fills at most this many bytes, and at least one clip per group. That
+# bounds memory; a 2048x527 sigmoid took 8.9 ms whole, 5.9 ms in 1 MiB pieces.
 CHUNK_BYTES = 1 << 20
 # The head's gemms run on zero-padded blocks of this many rows, one gemm per
 # block, so a row's bits depend only on the row and the weights.
@@ -192,43 +192,22 @@ class Model:
         h2 = np.tanh(r2 @ p["enc2_w"] + p["enc2_b"])
         return r1, h1, r2, h2
 
-    def _check_shape(self, x: np.ndarray) -> None:
+    def _forward_full(self, x: np.ndarray) -> dict:
+        """Forward pass over one whole batch, keeping what the backward pass needs."""
+        x = np.asarray(x, dtype=np.float64)
+        squeeze = x.ndim == 2
+        if squeeze:
+            x = x[None]
         want = (self.config.time_frames, self.config.freq_bins)
         if x.shape[1:] != want:
             raise ModelError(f"input shape {x.shape[1:]} != configured {want}")
-
-    def embed(self, features: np.ndarray) -> np.ndarray:
-        """(N, T, F) clips -> the head's input: time means (N, F) for the linear
-        variant, encoder frames (N, T', D) for attention.
-
-        Clips are upcast to float64 CHUNK_BYTES at a time, never a whole batch
-        at once. The encoder's stacked matmul runs one gemm per clip, so the
-        bits do not depend on how clips are grouped.
-        """
-        self._check_shape(features)
-        cfg = self.config
-        if cfg.variant == "linear":
-            width = (cfg.freq_bins,)
-        else:
-            width = (cfg.time_frames // math.prod(cfg.time_strides), cfg.embed_dim)
-        out = np.empty((len(features), *width))
-        step = max(1, CHUNK_BYTES // (8 * cfg.time_frames * cfg.freq_bins))
-        for lo in range(0, len(features), step):
-            x = np.asarray(features[lo : lo + step], dtype=np.float64)
-            if cfg.variant == "linear":
-                x.mean(axis=1, out=out[lo : lo + step])
-            else:
-                out[lo : lo + step] = self._encode(x)[3]
-        return out
-
-    def _head(self, inputs: np.ndarray) -> dict:
-        """Logits from ``embed``'s output, keeping what the backward pass needs."""
         p = self.params
         if self.config.variant == "linear":
-            logits = _row_matmul(inputs, p["w"]) + p["b"]
-            cache = {"pooled": inputs, "logits": logits, "att_norm": None}
+            pooled = x.mean(axis=1)  # (B, F)
+            logits = _row_matmul(pooled, p["w"]) + p["b"]
+            cache = {"pooled": pooled, "logits": logits, "att_norm": None}
         else:
-            h = inputs
+            r1, h1, r2, h = self._encode(x)
             bsz, nh = h.shape[0], self.config.num_heads
             rows = h.reshape(-1, h.shape[2])  # (B*T', D)
             att_logit = (_split_heads(_row_matmul(rows, _head_matrix(p["att_w"])), bsz, nh)
@@ -244,25 +223,12 @@ class Model:
             gamma /= gamma.sum()
             logits = np.einsum("bhc,h->bc", head_out, gamma)
             cache = {
-                "h": h, "att": att, "att_sum": att_sum, "att_norm": att_norm,
-                "cls": cls, "head_out": head_out, "gamma": gamma, "logits": logits,
+                "r1": r1, "h1": h1, "r2": r2, "h": h, "att": att, "att_sum": att_sum,
+                "att_norm": att_norm, "cls": cls, "head_out": head_out, "gamma": gamma,
+                "logits": logits,
             }
         if not np.all(np.isfinite(logits)):
             raise DivergenceError("non-finite activations in forward pass")
-        return cache
-
-    def _forward_full(self, x: np.ndarray) -> dict:
-        """Forward pass over one whole batch, keeping what the backward pass needs."""
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x[None]
-        self._check_shape(x)
-        if self.config.variant == "linear":
-            cache = self._head(x.mean(axis=1))  # (B, F)
-        else:
-            r1, h1, r2, h = self._encode(x)
-            cache = dict(self._head(h), r1=r1, h1=h1, r2=r2)
         cache["squeeze"] = squeeze
         return cache
 
@@ -287,14 +253,19 @@ class Model:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """(N, T, F) -> (N, C) probability matrix, one group of clips at a time."""
         cfg = self.config
-        frames = cfg.time_frames // math.prod(cfg.time_strides)
-        per_clip = (max(cfg.freq_bins, cfg.num_classes) if cfg.variant == "linear"
-                    else frames * max(cfg.embed_dim, cfg.num_heads * cfg.num_classes))
+        want = (cfg.time_frames, cfg.freq_bins)
+        if features.ndim != 3 or features.shape[1:] != want:
+            raise ModelError(f"input shape {features.shape[1:]} != configured {want}")
+        if cfg.variant == "linear":
+            per_clip = max(cfg.time_frames * cfg.freq_bins, cfg.num_classes)
+        else:
+            s1, s2 = cfg.time_strides
+            per_clip = max(cfg.time_frames * cfg.freq_bins, cfg.time_frames // s1 * cfg.hidden_dim,
+                           cfg.time_frames // (s1 * s2) * cfg.num_heads * cfg.num_classes)
         step = max(1, CHUNK_BYTES // (8 * per_clip))
         out = np.empty((len(features), cfg.num_classes))
         for lo in range(0, len(features), step):
-            logits = self._head(self.embed(features[lo : lo + step]))["logits"]
-            out[lo : lo + step] = _sigmoid(logits)
+            out[lo : lo + step] = _sigmoid(self._forward_full(features[lo : lo + step])["logits"])
         return out
 
     # -- backward --------------------------------------------------------

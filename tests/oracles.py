@@ -8,9 +8,9 @@
   maskings of the same matrix.
 - The mean of committee members' pre-sigmoid logits, which for the linear
   model variant equals the logits of the weight-averaged model.
-- Prediction and time-mean pooling with each clip upcast to float64 and
-  scored alone. ``Model.predict`` and ``Model.embed``, which upcast a few
-  clips at a time, must give byte-equal results.
+- Prediction with each clip upcast to float64 and scored alone.
+  ``Model.predict``, which scores a group of clips at a time, must give
+  byte-equal results.
 - Per-class AP and AUC, one class at a time: two stable sorts of each
   column, one for AP and one for the AUC midranks. ``metrics.evaluate``
   must give byte-equal per-class values.
@@ -120,14 +120,6 @@ def clip_by_clip_predict(model: Model, features: np.ndarray) -> np.ndarray:
     for i, clip in enumerate(features):
         out[i], _ = model.forward(np.asarray(clip, dtype=np.float64))
     return out
-
-
-def clip_by_clip_time_means(features: np.ndarray) -> np.ndarray:
-    """(N, T, F) -> (N, 1, F) float64 time means, each clip upcast alone."""
-    pooled = np.empty((len(features), 1, features.shape[2]))
-    for i in range(len(features)):
-        pooled[i] = np.asarray(features[i : i + 1], dtype=np.float64).mean(axis=1)
-    return pooled
 
 
 def per_class_metrics(predictions: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

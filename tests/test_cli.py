@@ -766,6 +766,39 @@ class TestBadInputExitCodes:
             self.assert_config_error(argv, capsys)
         assert not (tmp_path / "agg").exists()
 
+    @pytest.mark.parametrize("mismatch", ["five classes", "longer clips", "swapped classes"])
+    def test_eval_corpus_that_does_not_fit_the_training_corpus(self, tmp_path, capsys,
+                                                               mismatch):
+        config = tiny_config(tmp_path / "run", epochs=1)
+        if mismatch == "swapped classes":  # the same four names, two of them in swapped columns
+            eval_dir = tmp_path / "eval"
+            assert main(["synth", "--classes", "4", "--samples", "32", "--time-frames", "16",
+                         "--freq-bins", "8", "--out", str(eval_dir)]) == 0
+            manifest = eval_dir / "manifest.txt"
+            manifest.write_text(manifest.read_text().replace("class001", "swap").replace(
+                "class002", "class001").replace("swap", "class002"))
+            config["eval_corpus"] = {"path": str(eval_dir)}
+        else:
+            edit = {"five classes": {"num_classes": 5}, "longer clips": {"feature_shape": [32, 8]}}
+            config["eval_corpus"]["synth"].update(edit[mismatch])
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps(config))
+        capsys.readouterr()
+        err = self.assert_config_error(["train", "--config", str(config_file),
+                                        "--out", str(tmp_path / "run")], capsys)
+        assert "eval corpus" in err and not (tmp_path / "run").exists()
+        # enhance checks a teacher's two corpora the same way.
+        teacher = run_train(tiny_config(tmp_path / "teacher", epochs=1))
+        summary = json.loads((teacher / "summary.json").read_text())
+        (teacher / "config.json").write_text(json.dumps(config))
+        (teacher / "summary.json").write_text(json.dumps({**summary,
+                                                          "config_hash": config_hash(config)}))
+        onto = tmp_path / "onto.txt"
+        write_ontology(Ontology.from_edges(4, [(0, 1)]), onto, [f"class{k:03d}" for k in range(4)])
+        err = self.assert_config_error(["enhance", "--teacher-run", str(teacher), "--ontology",
+                                        str(onto), "--out", str(tmp_path / "enh")], capsys)
+        assert "eval corpus" in err and not (tmp_path / "enh").exists()
+
     def test_ablate_without_eval_corpus_fails_before_training(self, tmp_path, capsys):
         config = {**tiny_config(tmp_path / "run", epochs=1), "eval_corpus": None}
         config_file = tmp_path / "c.json"

@@ -14,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tagkit
+import tagkit.aggregate
 import tagkit.model
+from tagkit.aggregate import average_weights, sweep_start_epoch
 from tagkit.corpus import MultiLabelCorpus, SynthSpec, generate_synthetic
+from tagkit.metrics import evaluate
 from tagkit.model import (
     CheckpointError,
     DivergenceError,
@@ -35,8 +38,8 @@ from tagkit.model import (
 from tagkit.rng import stream
 from tagkit.sampler import AugmentConfig, plan_epoch
 
-from oracles import (MaskParams, apply_mask, clip_by_clip_predict, clip_by_clip_time_means,
-                     mixup, per_tensor_adam_checkpoints)
+from oracles import (MaskParams, apply_mask, clip_by_clip_predict, mixup,
+                     per_tensor_adam_checkpoints)
 
 SMALL_ATT = ModelConfig(num_classes=5, time_frames=16, freq_bins=8,
                         num_heads=2, embed_dim=8, hidden_dim=6, time_strides=(2, 2))
@@ -174,23 +177,40 @@ class TestChunkedInputStage:
     @pytest.mark.parametrize("shape", [(4, 5), (4, 1), (1, 5), (7, 3)])
     @pytest.mark.parametrize("clips_per_chunk", [3, None])
     def test_time_means_match_the_full_batch_loop(self, monkeypatch, shape, clips_per_chunk):
+        # The linear sweep pools each clip once and scores one-frame clips; every matrix
+        # it scores must be that of ``predict`` on the clips themselves, bit for bit.
         if clips_per_chunk is not None:
             clip_bytes = 8 * math.prod(shape)
             monkeypatch.setattr(tagkit.model, "CHUNK_BYTES", clips_per_chunk * clip_bytes)
         config = ModelConfig(num_classes=3, time_frames=shape[0], freq_bins=shape[1],
                              variant="linear")
-        model = Model.init(config, stream(42, "init"))
+        checkpoints = [Model.init(config, stream(42, "init", i)).params_vector()
+                       for i in range(3)]
         rng = np.random.default_rng(43)
+        labels = np.eye(3, dtype=np.uint8)[np.arange(600) % 3]
+        scored = []
+        monkeypatch.setattr(tagkit.aggregate, "evaluate",
+                            lambda p, y: scored.append(p.tobytes()) or evaluate(p, y))
         for dtype in (np.float32, np.float64):
             x = rng.standard_normal((600, *shape)).astype(dtype)
-            pooled = model.embed(x)[:, None, :]
-            assert pooled.tobytes() == clip_by_clip_time_means(x).tobytes()
-            whole = np.asarray(x, dtype=np.float64).mean(axis=1, keepdims=True)
-            assert pooled.tobytes() == whole.tobytes()
+            scored.clear()
+            points = sweep_start_epoch(checkpoints, config, x, labels)
+            members = [Model.from_vector(config, ck).predict(x) for ck in checkpoints]
+            want = [members[-1]]
+            for start in range(1, len(checkpoints)):
+                window = average_weights(checkpoints, start)
+                want += [Model.from_vector(config, window).predict(x),
+                         np.mean(members[start - 1 :], axis=0)]
+            assert sorted(scored) == sorted(p.tobytes() for p in want)
+            assert [pt.weight_avg_map for pt in points[:-1]] == [
+                evaluate(p, labels).map for p in want[1::2]]
 
     def test_wrong_clip_shape_rejected(self):
-        with pytest.raises(ModelError, match="input shape"):
-            Model.init(SMALL_LIN, stream(44, "init")).predict(np.zeros((3, 16, 9), np.float32))
+        model = Model.init(SMALL_LIN, stream(44, "init"))
+        # A 2-D array is refused too, not scored as one (time, freq) clip.
+        for x in (np.zeros((3, 16, 9), np.float32), np.zeros((16, 8), np.float32)):
+            with pytest.raises(ModelError, match="input shape"):
+                model.predict(x)
 
     @pytest.mark.parametrize("variant", ["attention", "linear"])
     def test_predict_memory_stays_far_below_one_float64_batch(self, variant):
