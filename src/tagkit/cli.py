@@ -70,10 +70,6 @@ DEFAULT_CONFIG = {
 }
 
 
-def load_config(path: str | Path) -> dict:
-    return merge_config(_read_json(path), source=str(path))
-
-
 def _read_json(path: str | Path) -> object:
     try:
         return json.loads(Path(path).read_text())
@@ -81,12 +77,6 @@ def _read_json(path: str | Path) -> object:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
-
-
-def merge_config(raw: dict, source: str = "<dict>") -> dict:
-    config = _merge_defaults(raw, source)
-    validate_config(config, source)
-    return config
 
 
 def _merge_defaults(raw: dict, source: str) -> dict:
@@ -313,13 +303,18 @@ def apply_toggle(config: dict, toggle: str) -> dict:
     return out
 
 
-def run_ablation(
-    config: dict, toggles: list[str], num_seeds: int, out_dir: str | Path
-) -> list[dict]:
-    """Train the full recipe plus one variant per removed technique; tabulate mAP."""
+def run_ablation(config: dict, toggles: list[str], num_seeds: int, out_dir: str | Path,
+                 source: str = "<dict>") -> list[dict]:
+    """Train the full recipe plus one variant per removed technique; tabulate mAP.
+
+    ``config`` is validated here, and its errors name ``source``. Each distinct run, keyed
+    by its config without ``output_dir``, trains once: a variant that repeats a run (as
+    ``ensemble`` and ``weight-avg`` repeat ``full``'s) reads its summary and gets no directory."""
+    toggles = list(dict.fromkeys(toggles))  # a repeated toggle is run once
     for toggle in toggles:
         if toggle not in ABLATION_TOGGLES:
             raise ConfigError(f"toggle {toggle!r} not in {ABLATION_TOGGLES}")
+    validate_config(config, source)
     if config["eval_corpus"] is None:
         raise ConfigError("ablate needs an eval_corpus: the variants are compared on its mAP")
     if num_seeds < 1:
@@ -327,17 +322,19 @@ def run_ablation(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True)  # in place: each run's config.json records its output_dir
     variants = [("full", set())] + [(f"no-{t}", {t}) for t in toggles]
-    rows = []
+    rows, summary_of = [], {}  # config_hash with output_dir null -> that run's summary
     for name, removed in variants:
         variant_config = copy.deepcopy(config)
         for t in removed:
             variant_config = apply_toggle(variant_config, t)
         summaries = []
         for s in range(num_seeds):
-            run_config = copy.deepcopy(variant_config)
-            run_config["seed"] = config["seed"] + s
-            run_config["output_dir"] = str(out_dir / name / f"seed_{run_config['seed']}")
-            summaries.append(rundir.read(run_train(run_config))[1])
+            run_config = {**variant_config, "seed": config["seed"] + s, "output_dir": None}
+            key = config_hash(run_config)
+            if key not in summary_of:
+                run_config["output_dir"] = str(out_dir / name / f"seed_{run_config['seed']}")
+                summary_of[key] = rundir.read(run_train(run_config, source=source))[1]
+            summaries.append(summary_of[key])
         headlines = [_headline_for_variant(summary, removed) for summary in summaries]
         rows.append({"variant": name, "map_mean": float(np.mean(headlines)),
                      "map_sd": float(np.std(headlines))})
@@ -589,9 +586,9 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    config = load_config(args.config)
+    config = _merge_defaults(_read_json(args.config), args.config)
     toggles = [t.strip() for t in args.toggles.split(",") if t.strip()]
-    rows = run_ablation(config, toggles, args.seeds, args.out)
+    rows = run_ablation(config, toggles, args.seeds, args.out, source=args.config)
     for row in rows:
         print(f"{row['variant']:>16}: mAP {row['map_mean']:.4f} +/- {row['map_sd']:.4f}")
     return 0

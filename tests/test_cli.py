@@ -10,16 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagkit.cli import (
+    ABLATION_TOGGLES,
     DEFAULT_CONFIG,
     SECTIONS,
     ConfigError,
+    _headline_for_variant,
+    _merge_defaults,
+    _read_json,
     apply_toggle,
     build_corpus,
     config_hash,
     corpus_specs,
-    load_config,
     main,
-    merge_config,
+    run_ablation,
     run_aggregate,
     run_enhance,
     run_train,
@@ -34,7 +37,7 @@ from tagkit.ontology import write_ontology, Ontology
 
 
 def tiny_config(out_dir, seed=0, epochs=3):
-    return merge_config({
+    return _merge_defaults({
         "seed": seed,
         "output_dir": str(out_dir),
         "corpus": {"synth": {
@@ -50,18 +53,18 @@ def tiny_config(out_dir, seed=0, epochs=3):
         "augment": {"freq_mask_max": 2, "time_mask_max": 4, "mixup_rate": 0.3},
         "train": {"epochs": epochs, "batch_size": 16, "base_lr": 5e-3,
                   "warmup_iters": 10, "decay_start_epoch": 2, "decay_period": 1},
-    })
+    }, "tiny_config")
 
 
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="bogus"):
-            merge_config({"bogus": 1, "corpus": {"synth": {"num_classes": 2,
-                                                            "num_samples": 4}}})
+            _merge_defaults({"bogus": 1, "corpus": {"synth": {"num_classes": 2,
+                                                               "num_samples": 4}}}, "<dict>")
         # Repaired labels come from `tagkit enhance`'s label file, through corpus.labels.
         for enhance in ({"teacher_run": str(tmp_path), "ontology": str(tmp_path)}, None):
-            code, err = _train_exit({**tiny_config(tmp_path / "run"), "enhance": enhance},
-                                    tmp_path)
+            code, err = _config_exit({**tiny_config(tmp_path / "run"), "enhance": enhance},
+                                     tmp_path)
             assert code == 2 and err.count("\n") == 1
             assert err.startswith(f"config error: {tmp_path / 'c.json'}: unknown config key "
                                   "'enhance'")
@@ -69,37 +72,39 @@ class TestConfig:
 
     def test_missing_corpus_rejected(self):
         with pytest.raises(ConfigError, match="corpus"):
-            merge_config({"seed": 1})
+            validate_config(_merge_defaults({"seed": 1}, "<dict>"))
 
     def test_missing_path_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
-            merge_config({"corpus": {"path": str(tmp_path / "nope")}})
+            validate_config(_merge_defaults({"corpus": {"path": str(tmp_path / "nope")}},
+                                            "<dict>"))
 
     def test_hash_stable_under_key_order(self):
         a = {"seed": 1, "corpus": {"synth": {"num_classes": 2, "num_samples": 4}}}
         b = {"corpus": {"synth": {"num_samples": 4, "num_classes": 2}}, "seed": 1}
-        assert config_hash(merge_config(a)) == config_hash(merge_config(b))
+        assert config_hash(_merge_defaults(a, "a")) == config_hash(_merge_defaults(b, "b"))
 
-    def test_load_config_reports_json_position(self, tmp_path):
+    def test_read_json_reports_json_position(self, tmp_path):
         bad = tmp_path / "c.json"
         bad.write_text('{"seed": }')
-        with pytest.raises(ConfigError, match="line"):
-            load_config(bad)
+        with pytest.raises(ConfigError, match=f"{bad}: invalid JSON at line 1"):
+            _read_json(bad)
 
     def test_default_config_hash_is_pinned(self):
-        config = merge_config({"seed": 1, "corpus": {"synth": {"num_classes": 2,
-                                                                "num_samples": 4}}})
+        config = _merge_defaults({"seed": 1, "corpus": {"synth": {"num_classes": 2,
+                                                                   "num_samples": 4}}}, "<dict>")
+        validate_config(config)
         assert config_hash(config) == (
             "653730d127397191d2dc376da5a5e68f4b4e6b0a7fc0d2f9d4ede580826fa1ab")
 
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ConfigError, match="JSON object"):
-            merge_config([1, 2])
+            _merge_defaults([1, 2], "<dict>")
 
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigError, match="train must be a JSON object"):
-            merge_config({"train": None, "corpus": {"synth": {"num_classes": 2,
-                                                               "num_samples": 4}}})
+            _merge_defaults({"train": None, "corpus": {"synth": {"num_classes": 2,
+                                                                  "num_samples": 4}}}, "<dict>")
 
 
 def _wrongly_typed(value, default) -> bool:
@@ -127,12 +132,13 @@ JSON_VALUES = st.one_of(
 )
 
 
-def _train_exit(config: dict, work) -> tuple[int, str]:
+def _config_exit(config: dict, work, command=("train",)) -> tuple[int, str]:
+    """Run ``command`` on ``config``, written to work/c.json, with --out work/run."""
     config_file = work / "c.json"
     config_file.write_text(json.dumps(config))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(["train", "--config", str(config_file), "--out", str(work / "run")])
+        code = main([*command, "--config", str(config_file), "--out", str(work / "run")])
     return code, err.getvalue()
 
 
@@ -145,7 +151,7 @@ def test_wrongly_typed_section_value_is_rejected_before_writing(tmp_path_factory
     work = tmp_path_factory.mktemp("bad")
     config = tiny_config(work / "run")
     config[name] = {**config[name], key: value}
-    code, err = _train_exit(config, work)
+    code, err = _config_exit(config, work)
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert f"{name}.{key}" in err and "Traceback" not in err
@@ -184,10 +190,22 @@ def test_wrongly_typed_section_value_is_rejected_before_writing(tmp_path_factory
 def test_bad_config_exits_2_and_writes_nothing(tmp_path, section, patch):
     config = tiny_config(tmp_path / "run")
     config[section] = {**config[section], **patch}
-    code, err = _train_exit(config, tmp_path)
+    code, err = _config_exit(config, tmp_path)
     assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("patch", [{"seed": True}, {"model": {"num_heads": 0}}, {"bogus": 1},
+                                   {"train": {"epochs": "2"}}])
+def test_ablate_refuses_a_bad_config_as_train_does(tmp_path, patch):
+    config = tiny_config(tmp_path / "base")
+    for key, value in patch.items():
+        config[key] = {**config[key], **value} if isinstance(value, dict) else value
+    code, err = _config_exit(config, tmp_path, ("ablate", "--toggles", "mixup", "--seeds", "1"))
+    assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
+    assert str(tmp_path / "c.json") in err
+    assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
 
 
 @pytest.mark.parametrize("ratio", ["nan", "inf"])
@@ -202,7 +220,7 @@ def test_synth_with_a_non_finite_ratio_exits_2_and_writes_nothing(tmp_path, caps
 
 def test_output_dir_must_be_a_string(tmp_path):
     config = {**tiny_config(tmp_path / "run"), "output_dir": 3}
-    code, err = _train_exit(config, tmp_path)
+    code, err = _config_exit(config, tmp_path)
     assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
     assert "output_dir must be a string" in err
     assert not (tmp_path / "run").exists()
@@ -214,7 +232,7 @@ def test_path_valued_key_must_be_a_string(tmp_path, key):
     config = tiny_config(tmp_path / "run")
     section, _, name = key.rpartition(".")
     (config[section] if section else config)[name] = 5
-    code, err = _train_exit(config, tmp_path)
+    code, err = _config_exit(config, tmp_path)
     assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
     assert f"{key} must be a string" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
@@ -224,7 +242,7 @@ def test_path_valued_key_must_be_a_string(tmp_path, key):
 def test_misspelt_key_in_a_corpus_or_enhance_spec_is_rejected(tmp_path, section, key):
     config = tiny_config(tmp_path / "run")
     config[section][key] = "p10"
-    code, err = _train_exit(config, tmp_path)
+    code, err = _config_exit(config, tmp_path)
     assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
     assert f"unknown config key {section}.{key}" in err
     assert not (tmp_path / "run").exists()
@@ -234,7 +252,7 @@ def test_labels_override_must_not_repeat_a_sample_id(tmp_path):
     config = tiny_config(tmp_path / "run")
     (tmp_path / "ov.txt").write_text("s00\tclass000\ns00\tclass002\n")
     config["corpus"]["labels"] = str(tmp_path / "ov.txt")
-    code, err = _train_exit(config, tmp_path)
+    code, err = _config_exit(config, tmp_path)
     assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
     assert "'s00' is repeated" in err
     assert not (tmp_path / "run").exists()
@@ -377,8 +395,6 @@ class TestAblation:
 
     def test_full_row_recomputable_from_run_logs(self, tmp_path):
         config = tiny_config(tmp_path / "base", epochs=2)
-        from tagkit.cli import run_ablation
-
         rows = run_ablation(config, ["mixup"], 2, tmp_path / "abl")
         full = next(r for r in rows if r["variant"] == "full")
         headlines = []
@@ -387,6 +403,38 @@ class TestAblation:
             headlines.append(summary["ensemble_map"])
         assert full["map_mean"] == pytest.approx(np.mean(headlines))
         assert full["map_sd"] == pytest.approx(np.std(headlines))
+
+    def test_repeated_toggle_runs_once(self, tmp_path):
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps(tiny_config(tmp_path / "base", epochs=1)))
+        assert main(["ablate", "--config", str(config_file), "--toggles", "mixup,mixup",
+                     "--seeds", "1", "--out", str(tmp_path / "abl")]) == 0
+        rows = (tmp_path / "abl" / "ablation.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["full", "no-mixup"]
+
+    def test_identical_runs_train_once(self, tmp_path, monkeypatch):
+        import tagkit.cli as cli
+
+        calls = {"train": 0, "corpus_specs": 0}
+        for name in calls:
+            def wrapped(*a, _name=name, _real=getattr(cli, name), **k):
+                calls[_name] += 1
+                return _real(*a, **k)
+            monkeypatch.setattr(cli, name, wrapped)
+        out = tmp_path / "abl"
+        rows = run_ablation(tiny_config(tmp_path / "base", epochs=1), list(ABLATION_TOGGLES), 1,
+                            out)
+        # Without init_path or corpus.labels, four of the eight variants train full's run.
+        assert calls == {"train": 4, "corpus_specs": 5}  # one validation per run, one per ablate
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ablation.csv", "full", "no-balanced", "no-masking", "no-mixup"]
+        assert len(rows) == 8
+        full = json.loads((out / "full" / "seed_0" / "summary.json").read_text())
+        reused = {"no-pretrain-init", "no-labelfix", "no-ensemble", "no-weight-avg"}
+        for row in rows:
+            if row["variant"] in reused:
+                removed = {row["variant"].removeprefix("no-")}
+                assert row["map_mean"] == _headline_for_variant(full, removed)
 
     def test_toggle_transforms(self, tmp_path):
         config = tiny_config(tmp_path / "x")
@@ -398,8 +446,6 @@ class TestAblation:
 
 
 def main_ablate(config, toggles, seeds, out):
-    from tagkit.cli import run_ablation
-
     rows = run_ablation(config, [t for t in toggles.split(",") if t], seeds, out)
     assert (out / "ablation.csv").is_file()
     return len(rows)
