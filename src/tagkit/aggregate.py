@@ -39,13 +39,12 @@ def average_weights(checkpoints: list[ParameterVector], start_epoch: int = 1) ->
     for ck in window[1:]:
         if ck.manifest != manifest:
             raise AggregateError("checkpoint manifests differ; cannot average")
-    mean = np.mean(np.stack([ck.values for ck in window]), axis=0)
-    return ParameterVector(values=mean, manifest=manifest)
+    return replace(window[0], values=ensemble_mean(Committee([ck.values for ck in window])))
 
 
 @dataclass
 class Committee:
-    """Prediction matrices of committee members, each (N_eval, C) in [0, 1]."""
+    """Members of one shape to average: prediction matrices (N_eval, C), or weight vectors."""
 
     members: list[np.ndarray]
 
@@ -60,7 +59,7 @@ class Committee:
 
 
 def ensemble_mean(committee: Committee) -> np.ndarray:
-    """Elementwise mean of the member prediction matrices.
+    """Elementwise mean of the members, the one in-order mean of weights and predictions.
 
     Members are summed in order into one matrix, with no stacked copy of the
     committee; the bits are those of ``np.mean(np.stack(members), axis=0)``.
@@ -122,8 +121,8 @@ def sweep_start_epoch(
     del eval_features
     last_map = evaluate(member_preds[-1], eval_labels).map
     return [
-        SweepPoint(start, wa_map,
-                   evaluate(np.mean(member_preds[start - 1 :], axis=0), eval_labels).map)
+        SweepPoint(start, wa_map, evaluate(
+            ensemble_mean(Committee(list(member_preds[start - 1 :]))), eval_labels).map)
         for start, wa_map in zip(starts, wa_maps)
     ] + [SweepPoint(len(checkpoints), last_map, last_map)]
 

@@ -320,32 +320,32 @@ def run_ablation(config: dict, toggles: list[str], num_seeds: int, out_dir: str 
     if num_seeds < 1:
         raise ConfigError(f"ablate needs at least one seed, got {num_seeds}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True)  # in place: each run's config.json records its output_dir
-    variants = [("full", set())] + [(f"no-{t}", {t}) for t in toggles]
+    variants = [("full", set(), config)] + [(f"no-{t}", {t}, apply_toggle(config, t))
+                                            for t in toggles]
     rows, summary_of = [], {}  # config_hash with output_dir null -> that run's summary
-    for name, removed in variants:
-        variant_config = copy.deepcopy(config)
-        for t in removed:
-            variant_config = apply_toggle(variant_config, t)
-        summaries = []
-        for s in range(num_seeds):
-            run_config = {**variant_config, "seed": config["seed"] + s, "output_dir": None}
-            key = config_hash(run_config)
-            if key not in summary_of:
-                run_config["output_dir"] = str(out_dir / name / f"seed_{run_config['seed']}")
-                summary_of[key] = rundir.read(run_train(run_config, source=source))[1]
-            summaries.append(summary_of[key])
-        headlines = [_headline_for_variant(summary, removed) for summary in summaries]
-        rows.append({"variant": name, "map_mean": float(np.mean(headlines)),
-                     "map_sd": float(np.std(headlines))})
-        for column, key in (("last_k_map_mean", "headline_map"),
-                            ("weight_avg_map_mean", "weight_avg_map"),
-                            ("ensemble_map_mean", "ensemble_map")):
-            rows[-1][column] = float(np.mean([summary[key] for summary in summaries]))
-    with rundir.publish(out_dir / "ablation.csv") as partial, open(partial, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    with rundir.publish(out_dir) as partial:
+        for name, removed, variant_config in variants:
+            summaries = []
+            for s in range(num_seeds):
+                run_config = {**variant_config, "seed": config["seed"] + s, "output_dir": None}
+                key = config_hash(run_config)
+                if key not in summary_of:
+                    run_name = Path(name, f"seed_{run_config['seed']}")
+                    run_config["output_dir"] = str(out_dir / run_name)  # its published path
+                    run_dir = run_train(run_config, partial / run_name, source)
+                    summary_of[key] = rundir.read(run_dir)[1]
+                summaries.append(summary_of[key])
+            headlines = [_headline_for_variant(summary, removed) for summary in summaries]
+            rows.append({"variant": name, "map_mean": float(np.mean(headlines)),
+                         "map_sd": float(np.std(headlines))})
+            for column, key in (("last_k_map_mean", "headline_map"),
+                                ("weight_avg_map_mean", "weight_avg_map"),
+                                ("ensemble_map_mean", "ensemble_map")):
+                rows[-1][column] = float(np.mean([summary[key] for summary in summaries]))
+        with open(partial / "ablation.csv", "w", newline="") as fh:  # full's run made partial
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
     return rows
 
 

@@ -17,9 +17,10 @@ writes into a path that exists, and ``finish`` writes summary.json through
 config and class table, so ``load_model`` reads any checkpoint back as a model
 from the run directory alone.
 
-``publish`` is the only code that makes any other output of a command: a new
-path, built as a hidden ``.<name>.partial`` sibling that is renamed onto it on
-success and deleted on failure, or by the next command if this one is killed.
+``publish`` is the only code that makes a command's ``--out``, but for ``train``'s run
+directory: a new path, built as a hidden ``.<name>.partial`` sibling that is renamed onto it
+on success and deleted on failure, or by the next command if this one is killed. ``ablate``
+``create``s its runs in that sibling; each run's config.json names its published path.
 
 ``from_json`` is the one reader that turns a JSON object into a tagkit
 dataclass, for a config's sections and synth specs and for summary.json.

@@ -3,12 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tagkit
 from tagkit.cli import (
     ABLATION_TOGGLES,
     DEFAULT_CONFIG,
@@ -31,7 +37,7 @@ from tagkit.cli import (
 from tagkit.corpus import read_corpus, write_labels
 from tagkit.rundir import load_checkpoint as _teacher_checkpoint
 from tagkit.metrics import evaluate
-from tagkit.model import Model, ParameterVector
+from tagkit.model import DivergenceError, Model, ParameterVector
 from tagkit.sampler import SamplerError
 from tagkit.ontology import write_ontology, Ontology
 
@@ -1089,6 +1095,25 @@ def test_a_null_pattern_seed_gives_the_eval_split_the_training_patterns(tmp_path
     assert build_corpus(corpus_specs(config)[1]).features.tobytes() == omitted.features.tobytes()
 
 
+# Runs ``tagkit ablate`` with the argv it is given; the process kills itself with SIGKILL
+# as its second training starts.
+KILL_SECOND_TRAINING = """
+import os, signal, sys
+import tagkit.cli as cli
+
+calls, real = [], cli.run_train
+
+def run_train(*args, **kwargs):
+    calls.append(1)
+    if len(calls) == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(*args, **kwargs)
+
+cli.run_train = run_train
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def _tree(root):
     """root and every path under it, with its bytes for a file; root may be a symlink."""
     return root.is_symlink(), {p: p.read_bytes() if p.is_file() else None
@@ -1133,6 +1158,7 @@ class TestPublishedOutputs:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert _tree(out) == before
         assert not out.with_name(f".{out.name}.partial").exists()
+        return err
 
     def test_aggregate_over_a_one_run_committee_is_refused(self, work, capsys):
         # The two-run call used to leave the one-run sweep beside its own reports.
@@ -1171,8 +1197,9 @@ class TestPublishedOutputs:
             out.symlink_to(work / "nowhere")
         predicts = []
         monkeypatch.setattr(Model, "predict", lambda *a, **k: predicts.append(1))
-        self.refused(self.argv(command, work, out), out, capsys)
+        err = self.refused(self.argv(command, work, out), out, capsys)
         assert predicts == []
+        assert err == f"config error: {out} already exists; --out must name a new path\n"
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_a_writer_that_fails_midway_leaves_nothing(self, work, error, monkeypatch):
@@ -1206,7 +1233,7 @@ class TestPublishedOutputs:
             f"config error: {out} was made while this command ran; its output is dropped\n")
         assert list(out.iterdir()) == [] and not (work / f".{out.name}.partial").exists()
 
-    @pytest.mark.parametrize("command", ["synth", "aggregate", "coverage", "eval"])
+    @pytest.mark.parametrize("command", ["synth", "aggregate", "coverage", "eval", "ablate"])
     def test_a_partial_sibling_left_by_a_killed_command_is_cleared(self, work, command):
         out = work / f"{command}_again"
         partial = work / f".{out.name}.partial"
@@ -1215,6 +1242,49 @@ class TestPublishedOutputs:
         assert main(self.argv(command, work, out)) == 0
         assert not partial.exists()
         assert not (out / "stale.txt").exists()
+
+    def test_an_ablate_that_diverges_leaves_nothing(self, work, capsys, monkeypatch):
+        import tagkit.cli as cli
+
+        calls, real = [], cli.train
+
+        def diverge_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise DivergenceError("planted")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", diverge_second)
+        out = work / "abl_diverged"
+        capsys.readouterr()
+        assert main([*self.argv("ablate", work, out), "--toggles", "mixup"]) == 3
+        assert capsys.readouterr().err == "numerical failure: planted\n"
+        assert len(calls) == 2
+        assert not out.exists() and not (work / f".{out.name}.partial").exists()
+
+    def test_a_killed_ablate_leaves_only_its_sibling_and_reruns(self, work, capsys):
+        toggles = ["--toggles", "mixup"]
+        assert main([*self.argv("ablate", work, work / "abl_whole"), *toggles]) == 0
+        out = work / "abl_killed"
+        argv = [*self.argv("ablate", work, out), *toggles]
+        env = dict(os.environ, PYTHONPATH=str(Path(tagkit.__file__).resolve().parents[1]))
+        child = subprocess.run([sys.executable, "-c", KILL_SECOND_TRAINING, *argv],
+                               env=env, capture_output=True, timeout=300)
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        partial = work / f".{out.name}.partial"
+        assert not out.exists() and (partial / "full" / "seed_0" / "summary.json").is_file()
+        assert main(argv) == 0
+        assert not partial.exists()
+        assert ((out / "ablation.csv").read_bytes()
+                == (work / "abl_whole" / "ablation.csv").read_bytes())
+        for variant in ("full", "no-mixup"):  # each run names the path it was published at
+            config = json.loads((out / variant / "seed_0" / "config.json").read_text())
+            assert config["output_dir"] == str(out / variant / "seed_0")
+        run_dir = out / "full" / "seed_0"
+        assert main(["eval", "--run", str(run_dir), "--checkpoint", "epoch_001",
+                     "--out", str(work / "abl_killed_eval.json")]) == 0
+        logged = json.loads((run_dir / "eval" / "epoch_001.json").read_text())
+        assert json.loads((work / "abl_killed_eval.json").read_text())["map"] == logged["map"]
 
     def test_a_committee_may_not_list_a_run_twice(self, work, capsys):
         # Counted twice, the run used to weigh double in the ensemble.
