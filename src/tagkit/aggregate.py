@@ -10,9 +10,7 @@ pre-sigmoid logits.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -125,12 +123,4 @@ def sweep_start_epoch(
             ensemble_mean(Committee(list(member_preds[start - 1 :]))), eval_labels).map)
         for start, wa_map in zip(starts, wa_maps)
     ] + [SweepPoint(len(checkpoints), last_map, last_map)]
-
-
-def write_sweep_csv(points: list[SweepPoint], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["start_epoch", "weight_avg_map", "prediction_avg_map"])
-        for pt in points:
-            w.writerow([pt.start_epoch, repr(pt.weight_avg_map), repr(pt.prediction_avg_map)])
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -342,10 +341,8 @@ def run_ablation(config: dict, toggles: list[str], num_seeds: int, out_dir: str 
                                 ("weight_avg_map_mean", "weight_avg_map"),
                                 ("ensemble_map_mean", "ensemble_map")):
                 rows[-1][column] = float(np.mean([summary[key] for summary in summaries]))
-        with open(partial / "ablation.csv", "w", newline="") as fh:  # full's run made partial
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        rundir.write_table(partial / "ablation.csv", list(rows[0]),  # full's run made partial
+                           [row.values() for row in rows])
     return rows
 
 
@@ -395,7 +392,7 @@ def run_enhance(teacher_run: str | Path, ontology_path: str | Path, policies: li
                                       mode=mode, strict=strict)
             write_labels(out / f"train_labels_{policy}_{mode}.txt",
                          corpus.ids, enhanced, corpus.class_names)
-            audit.write_csv(out / f"audit_train_{policy}_{mode}.csv", corpus.class_names)
+            _write_audit(out / f"audit_train_{policy}_{mode}.csv", audit, corpus.class_names)
             entry = {
                 "train_labels_added": audit.labels_added,
                 "train_added_pct": audit.added_pct,
@@ -406,12 +403,18 @@ def run_enhance(teacher_run: str | Path, ontology_path: str | Path, policies: li
                                                              thresholds, mode=mode, strict=strict)
                 write_labels(out / f"eval_labels_{policy}_{mode}.txt",
                              eval_corpus.ids, enhanced_eval, eval_corpus.class_names)
-                eval_audit.write_csv(out / f"audit_eval_{policy}_{mode}.csv",
-                                     eval_corpus.class_names)
+                _write_audit(out / f"audit_eval_{policy}_{mode}.csv", eval_audit,
+                             eval_corpus.class_names)
                 entry["eval_labels_added"] = eval_audit.labels_added
             results[policy] = entry
-        (out / "enhance_summary.json").write_text(json.dumps(results, indent=2) + "\n")
+        rundir.write_json(out / "enhance_summary.json", results)
     return results
+
+
+def _write_audit(path: Path, audit, class_names: list[str]) -> None:
+    added = audit.per_class_added.tolist()
+    rundir.write_table(path, ["class", "labels_added", "impacted"],
+                       [(name, n, int(n > 0)) for name, n in zip(class_names, added)])
 
 
 def run_aggregate(manifest_path: str | Path, out_dir: str | Path,
@@ -444,25 +447,20 @@ def run_aggregate(manifest_path: str | Path, out_dir: str | Path,
         if len(run_dirs) == 1:
             points = agg.sweep_start_epoch(rundir.load_epochs(run_dirs[0]), models[0].config,
                                            eval_feats, eval_labels)
-            agg.write_sweep_csv(points, out / "start_epoch_sweep.csv")
+            rundir.write_table(out / "start_epoch_sweep.csv",
+                               ["start_epoch", "weight_avg_map", "prediction_avg_map"],
+                               [astuple(pt) for pt in points])
         for i, report in enumerate(member_reports):
-            report.write_json(out / f"member_{i:03d}.json")
-        ens_report.write_json(out / "ensemble_report.json")
-        with open(out / "members.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["member", "map"])
-            for run_dir, m in zip(run_dirs, member_maps):
-                w.writerow([str(run_dir), repr(m)])
+            rundir.write_json(out / f"member_{i:03d}.json", report.to_dict())
+        rundir.write_json(out / "ensemble_report.json", ens_report.to_dict())
+        rundir.write_table(out / "members.csv", ["member", "map"], zip(run_dirs, member_maps))
         comparison = {
             "num_members": len(members),
             "avg_map": float(np.mean(member_maps)),
             "best_map": float(np.max(member_maps)),
             "ensemble_map": ens_report.map,
         }
-        with open(out / "comparison.csv", "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(comparison.keys()))
-            w.writeheader()
-            w.writerow(comparison)
+        rundir.write_table(out / "comparison.csv", list(comparison), [comparison.values()])
     return comparison
 
 
@@ -561,7 +559,7 @@ def _cmd_eval(args) -> int:
         model = rundir.load_model(run_dir, eval_corpus.class_names, args.checkpoint)
         report = evaluate(model.predict(eval_corpus.features), eval_corpus.label_matrix())
         if out:
-            report.write_json(out)
+            rundir.write_json(out, report.to_dict())
     print(f"mAP {report.map:.4f}  mean AUC {report.mean_auc:.4f}  d' {report.dprime:.3f}")
     return 0
 
@@ -608,7 +606,8 @@ def _cmd_coverage(args) -> int:
         )
         config.validate(corpus.feature_shape)
         trace = simulate_coverage(weights, labels, config, args.epochs, args.seed)
-        trace.write_csv(out)
+        rundir.write_table(out, ["epoch", "unseen_fraction"],
+                           enumerate(trace.unseen_fraction, start=1))
     print(f"unseen after {args.epochs} epochs: {trace.unseen_fraction[-1]:.4f}")
     return 0
 

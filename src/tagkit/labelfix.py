@@ -10,11 +10,9 @@ the per-class threshold.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -96,13 +94,6 @@ class EnhanceAudit:
     @property
     def impacted_classes(self) -> list[int]:
         return np.flatnonzero(self.per_class_added > 0).tolist()
-
-    def write_csv(self, path: str | Path, class_names: list[str]) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["class", "labels_added", "impacted"])
-            for k, name in enumerate(class_names):
-                w.writerow([name, int(self.per_class_added[k]), int(self.per_class_added[k] > 0)])
 
 
 def _candidate_matrix(onto: Ontology, mode: str) -> np.ndarray:

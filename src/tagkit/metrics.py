@@ -14,11 +14,8 @@ Conventions pinned here because they move the numbers:
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -169,20 +166,6 @@ class EvalReport:
             "per_class_ap": [None if math.isnan(v) else v for v in self.per_class_ap],
             "per_class_auc": [None if math.isnan(v) else v for v in self.per_class_auc],
         }
-
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    def write_class_csv(self, path: str | Path, class_names: list[str],
-                        class_counts: np.ndarray) -> None:
-        """Per-class (class, AP, AUC, count) table, the sorted class-wise AP data source."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["class", "ap", "auc", "count"])
-            for k, name in enumerate(class_names):
-                ap = "" if math.isnan(self.per_class_ap[k]) else repr(float(self.per_class_ap[k]))
-                auc = "" if math.isnan(self.per_class_auc[k]) else repr(float(self.per_class_auc[k]))
-                w.writerow([name, ap, auc, int(class_counts[k])])
 
 
 def evaluate(predictions: np.ndarray, labels: np.ndarray) -> EvalReport:

@@ -24,12 +24,16 @@ on success and deleted on failure, or by the next command if this one is killed.
 
 ``from_json`` is the one reader that turns a JSON object into a tagkit
 dataclass, for a config's sections and synth specs and for summary.json.
+
+``write_table`` and ``write_json`` write every CSV and JSON report a command makes, a run's
+and every ``--out``'s: a float cell is its exact ``repr``, a NaN cell is empty.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import shutil
 from contextlib import contextmanager
@@ -107,6 +111,26 @@ def _remove(path: Path) -> None:
     path.unlink(missing_ok=True)  # a file or a symlink; raises if rmtree left a directory
 
 
+def _cell(value):
+    # float() first: the csv module writes a float subclass, np.float64 included, by its repr
+    if not isinstance(value, float):
+        return value
+    return "" if math.isnan(value) else repr(float(value))
+
+
+def write_table(path: Path, header: list[str], rows) -> None:
+    """A CSV of ``header`` then ``rows``: a float cell as its exact repr, which reads back
+    bit for bit, and a NaN cell empty; any other cell as it is."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(map(_cell, row) for row in rows)
+
+
+def write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2) + "\n")
+
+
 def create(run_dir: Path, config: dict, init_report: dict | None) -> None:
     """Make a new run directory and write what is known before training."""
     try:
@@ -115,7 +139,7 @@ def create(run_dir: Path, config: dict, init_report: dict | None) -> None:
         raise ConfigError(f"{run_dir} already exists; train makes a new run directory") from None
     (run_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
     if init_report is not None:
-        (run_dir / "init_report.json").write_text(json.dumps(init_report, indent=2) + "\n")
+        write_json(run_dir / "init_report.json", init_report)
 
 
 def finish(run_dir: Path, result, class_names: list[str], class_counts, summary: dict,
@@ -125,23 +149,24 @@ def finish(run_dir: Path, result, class_names: list[str], class_counts, summary:
     (run_dir / "checkpoints").mkdir()
     for epoch, ck in enumerate(result.checkpoints, start=1):
         ck.save(run_dir / "checkpoints" / f"epoch_{epoch:03d}.ckpt")
-    with open(run_dir / "train_log.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "iteration", "lr", "loss", "eval_map"])
-        writer.writeheader()
-        for row in result.log_rows:
-            writer.writerow({"eval_map": "", **row})
+    header = ["epoch", "iteration", "lr", "loss", "eval_map"]
+    if any(row.keys() - set(header) for row in result.log_rows):
+        raise ValueError(f"a train_log row has keys outside {header}")
+    write_table(run_dir / "train_log.csv", header,
+                [[row.get(key, "") for key in header] for row in result.log_rows])
     (run_dir / "eval").mkdir()
     for epoch, report in enumerate(result.eval_reports, start=1):
-        report.write_json(run_dir / "eval" / f"epoch_{epoch:03d}.json")
-        report.write_class_csv(run_dir / "eval" / f"epoch_{epoch:03d}.csv",
-                               class_names, class_counts)
+        write_json(run_dir / "eval" / f"epoch_{epoch:03d}.json", report.to_dict())
+        write_table(run_dir / "eval" / f"epoch_{epoch:03d}.csv", ["class", "ap", "auc", "count"],
+                    zip(class_names, report.per_class_ap, report.per_class_auc, class_counts,
+                        strict=True))
     if averaged is not None:
         weight_avg, wa_report, ensemble_report = averaged
         weight_avg.save(run_dir / f"{WEIGHT_AVG}.ckpt")
-        wa_report.write_json(run_dir / "eval" / f"{WEIGHT_AVG}.json")
-        ensemble_report.write_json(run_dir / "eval" / "checkpoint_ensemble.json")
+        write_json(run_dir / "eval" / f"{WEIGHT_AVG}.json", wa_report.to_dict())
+        write_json(run_dir / "eval" / "checkpoint_ensemble.json", ensemble_report.to_dict())
     with publish(run_dir / "summary.json") as partial:
-        partial.write_text(json.dumps(summary, indent=2) + "\n")
+        write_json(partial, summary)
 
 
 def read(run_dir: Path) -> tuple[Path, dict]:

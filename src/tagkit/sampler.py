@@ -10,10 +10,8 @@ index blocks from the same stream and agree exactly with plan consumers.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -149,13 +147,6 @@ class CoverageTrace:
 
     unseen_fraction: np.ndarray  # (epochs,)
     class_frequency: np.ndarray  # (C,) draws landing on samples of each class
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epoch", "unseen_fraction"])
-            for e, frac in enumerate(self.unseen_fraction, start=1):
-                w.writerow([e, repr(float(frac))])
 
 
 def simulate_coverage(

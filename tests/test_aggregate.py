@@ -1,6 +1,7 @@
 """Weight averaging, prediction ensembling, and the linear-variant identity."""
 
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from tagkit.aggregate import (
     average_weights,
     ensemble_mean,
     sweep_start_epoch,
-    write_sweep_csv,
 )
 from tagkit.corpus import SynthSpec, generate_synthetic
 from tagkit.metrics import evaluate
@@ -20,6 +20,7 @@ from tagkit.model import (
     LRSchedule, Model, ModelConfig, ModelError, ParameterVector, TrainConfig, train,
 )
 from tagkit.rng import stream
+from tagkit.rundir import write_table
 from tagkit.sampler import AugmentConfig
 
 from oracles import mean_logits
@@ -224,7 +225,11 @@ class TestSweep:
         config, result, evalc = _linear_run(epochs=3)
         points = sweep_start_epoch(result.checkpoints, config,
                                    evalc.feature_tensor(), evalc.label_matrix())
-        write_sweep_csv(points, tmp_path / "sweep.csv")
+        write_table(tmp_path / "sweep.csv", ["start_epoch", "weight_avg_map", "prediction_avg_map"],
+                    [astuple(pt) for pt in points])
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert rows[0] == "start_epoch,weight_avg_map,prediction_avg_map"
         assert len(rows) == 4
+        # each map reads back to its exact float
+        assert [SweepPoint(int(e), float(wa), float(pa)) for e, wa, pa in
+                (row.split(",") for row in rows[1:])] == points

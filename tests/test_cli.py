@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,9 @@ from tagkit.cli import (
     validate_config,
 )
 from tagkit.corpus import read_corpus, write_labels
+from tagkit.aggregate import SweepPoint, sweep_start_epoch
 from tagkit.rundir import load_checkpoint as _teacher_checkpoint
+from tagkit.rundir import finish, load_epochs, load_model, write_json, write_table
 from tagkit.metrics import evaluate
 from tagkit.model import DivergenceError, Model, ParameterVector
 from tagkit.sampler import SamplerError
@@ -305,7 +308,7 @@ class TestRunTrain:
                        eval_corpus.features)
                    for p in sorted((run_dir / "checkpoints").glob("epoch_*.ckpt"))]
         report = evaluate(np.mean(np.stack(members), axis=0), eval_corpus.label_matrix())
-        report.write_json(tmp_path / "want.json")
+        write_json(tmp_path / "want.json", report.to_dict())
         assert ((run_dir / "eval" / "checkpoint_ensemble.json").read_bytes()
                 == (tmp_path / "want.json").read_bytes())
 
@@ -558,13 +561,22 @@ class TestEnhancePipeline:
 
 class TestAggregateCommand:
     def test_committee_of_one_matches_member(self, tmp_path):
-        run_dir = run_train(tiny_config(tmp_path / "solo", epochs=2))
+        config = tiny_config(tmp_path / "solo", epochs=2)
+        run_dir = run_train(config)
         manifest = tmp_path / "committee.txt"
         manifest.write_text(f"{run_dir}\n")
         comparison = run_aggregate(manifest, tmp_path / "agg")
         assert comparison["num_members"] == 1
         assert comparison["ensemble_map"] == pytest.approx(comparison["best_map"])
-        assert (tmp_path / "agg" / "start_epoch_sweep.csv").is_file()
+        # the sweep's header, and each point read back to its exact floats
+        evalc = build_corpus(corpus_specs(config)[1])
+        points = sweep_start_epoch(load_epochs(run_dir),
+                                   load_model(run_dir, evalc.class_names).config,
+                                   evalc.features, evalc.label_matrix())
+        rows = (tmp_path / "agg" / "start_epoch_sweep.csv").read_text().splitlines()
+        assert rows[0] == "start_epoch,weight_avg_map,prediction_avg_map"
+        assert [SweepPoint(int(e), float(wa), float(pa)) for e, wa, pa in
+                (row.split(",") for row in rows[1:])] == points
 
     def test_multi_seed_committee_structure(self, tmp_path):
         dirs = [run_train(tiny_config(tmp_path / f"m{s}", seed=s, epochs=2))
@@ -1085,6 +1097,41 @@ def test_class_csv_counts_are_training_class_counts(tmp_path):
         rows = (run_dir / "eval" / f"epoch_{epoch:03d}.csv").read_text().splitlines()
         assert rows[0] == "class,ap,auc,count"
         assert [int(r.split(",")[3]) for r in rows[1:]] == counts
+
+
+def test_a_class_with_no_eval_positive_gets_empty_ap_and_auc_cells(tmp_path):
+    config = tiny_config(tmp_path / "run", epochs=1)
+    evalc = build_corpus(corpus_specs(config)[1])
+    labels = evalc.label_matrix()
+    labels[:, 3] = 0
+    labels[~labels.any(axis=1), 0] = 1  # every clip keeps a label
+    write_labels(tmp_path / "eval_labels.txt", evalc.ids, labels, evalc.class_names)
+    config["eval_corpus"]["labels"] = str(tmp_path / "eval_labels.txt")
+    run_dir = run_train(config)
+    rows = [row.split(",") for row in
+            (run_dir / "eval" / "epoch_001.csv").read_text().splitlines()[1:]]
+    assert [row[:3] for row in rows if "" in row] == [["class003", "", ""]]
+    report = json.loads((run_dir / "eval" / "epoch_001.json").read_text())
+    assert [report[key][3] for key in ("per_class_ap", "per_class_auc")] == [None, None]
+    assert report["num_skipped_ap"] == report["num_skipped_auc"] == 1
+
+
+def test_write_table_writes_a_float_as_its_plain_repr_and_a_nan_empty(tmp_path):
+    write_table(tmp_path / "t.csv", ["f64", "nan", "int", "str", "float"],
+                [[np.float64(1 / 3), np.float64("nan"), 3, "a b", 0.5],
+                 [np.float64(-0.0), float("nan"), np.int64(-7), "", 1e-300]])
+    assert (tmp_path / "t.csv").read_bytes() == (b"f64,nan,int,str,float\r\n"
+                                                 b"0.3333333333333333,,3,a b,0.5\r\n"
+                                                 b"-0.0,,-7,,1e-300\r\n")
+
+
+def test_finish_refuses_a_log_key_or_a_class_count_it_cannot_write(tmp_path):
+    report = SimpleNamespace(to_dict=dict, per_class_ap=[0.5, 0.25], per_class_auc=[0.5, 0.75])
+    for i, (log_rows, counts) in enumerate([([{"epoch": 1, "bogus": 2}], [3, 4]), ([], [3])]):
+        (tmp_path / f"r{i}").mkdir()
+        result = SimpleNamespace(checkpoints=[], log_rows=log_rows, eval_reports=[report])
+        with pytest.raises(ValueError):
+            finish(tmp_path / f"r{i}", result, ["a", "b"], counts, {})
 
 
 def test_a_null_pattern_seed_gives_the_eval_split_the_training_patterns(tmp_path):

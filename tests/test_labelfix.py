@@ -14,6 +14,7 @@ from tagkit.labelfix import (
     enhance_eval_set,
     make_thresholds,
 )
+from tagkit.cli import _write_audit
 from tagkit.ontology import Ontology
 
 from oracles import thresholds
@@ -228,7 +229,7 @@ class TestEnhance:
         _, audit = enhance(labels, scores, onto, t, mode="type1")
         assert audit.labels_added == 2
         assert audit.added_pct == pytest.approx(100 * 2 / 5)
-        audit.write_csv(tmp_path / "audit.csv", ["parent", "child"])
+        _write_audit(tmp_path / "audit.csv", audit, ["parent", "child"])
         rows = (tmp_path / "audit.csv").read_text().splitlines()
         assert rows[0] == "class,labels_added,impacted"
         assert rows[2] == "child,2,1"

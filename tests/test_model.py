@@ -30,6 +30,7 @@ from tagkit.model import (
     ParameterVector,
     TrainConfig,
     _assemble_batch,
+    _row_matmul,
     _sigmoid,
     grad_check,
     load_external_init,
@@ -261,6 +262,13 @@ class TestRowIndependence:
         model, x, alone = wide_head
         probs, _ = model.forward(x.astype(np.float64))
         assert probs.tobytes() == model.predict(x).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("m", [1600, 1597])
+def test_row_matmul_bytes_do_not_depend_on_the_rows_memory_order(m):
+    rng = np.random.default_rng(m)
+    rows, w = rng.standard_normal((m, 48)), rng.standard_normal((48, 2108))
+    assert _row_matmul(np.asfortranarray(rows), w).tobytes() == _row_matmul(rows, w).tobytes()
 
 
 class TestGradients:
