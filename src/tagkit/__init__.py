@@ -17,7 +17,7 @@ from .corpus import (
     write_corpus,
     write_labels,
 )
-from .labelfix import ThresholdSet, enhance, enhance_eval_set, make_thresholds
+from .labelfix import enhance, enhance_eval_set, make_thresholds
 from .metrics import EvalReport, average_precision, correlate, d_prime, evaluate, roc_auc
 from .model import (
     LRSchedule,

@@ -379,34 +379,25 @@ def run_enhance(teacher_run: str | Path, ontology_path: str | Path, policies: li
         teacher = rundir.load_model(teacher_run, corpus.class_names)
         onto = read_ontology(ontology_path, corpus.class_names)
 
-        train_labels = corpus.label_matrix()
-        train_scores = teacher.predict(corpus.features)
-        if eval_corpus is not None:
-            eval_labels = eval_corpus.label_matrix()
-            eval_scores = teacher.predict(eval_corpus.features)
+        splits = [("train", corpus, enhance), ("eval", eval_corpus, enhance_eval_set)]
+        scored = [(split, c, repair, c.label_matrix(), teacher.predict(c.features))
+                  for split, c, repair in splits if c is not None]
+        *_, train_labels, train_scores = scored[0]
         out.mkdir()
         results = {}
         for policy in policies:
             thresholds = make_thresholds(train_scores, train_labels, policy)
-            enhanced, audit = enhance(train_labels, train_scores, onto, thresholds,
-                                      mode=mode, strict=strict)
-            write_labels(out / f"train_labels_{policy}_{mode}.txt",
-                         corpus.ids, enhanced, corpus.class_names)
-            _write_audit(out / f"audit_train_{policy}_{mode}.csv", audit, corpus.class_names)
-            entry = {
-                "train_labels_added": audit.labels_added,
-                "train_added_pct": audit.added_pct,
-                "train_impacted_classes": len(audit.impacted_classes),
-            }
-            if eval_corpus is not None:
-                enhanced_eval, eval_audit = enhance_eval_set(eval_labels, eval_scores, onto,
-                                                             thresholds, mode=mode, strict=strict)
-                write_labels(out / f"eval_labels_{policy}_{mode}.txt",
-                             eval_corpus.ids, enhanced_eval, eval_corpus.class_names)
-                _write_audit(out / f"audit_eval_{policy}_{mode}.csv", eval_audit,
-                             eval_corpus.class_names)
-                entry["eval_labels_added"] = eval_audit.labels_added
-            results[policy] = entry
+            entry = results[policy] = {}
+            for split, split_corpus, repair, labels, scores in scored:
+                enhanced, audit = repair(labels, scores, onto, thresholds, mode=mode, strict=strict)
+                write_labels(out / f"{split}_labels_{policy}_{mode}.txt",
+                             split_corpus.ids, enhanced, split_corpus.class_names)
+                _write_audit(out / f"audit_{split}_{policy}_{mode}.csv", audit,
+                             split_corpus.class_names)
+                entry[f"{split}_labels_added"] = audit.labels_added
+                if split == "train":
+                    entry["train_added_pct"] = audit.added_pct
+                    entry["train_impacted_classes"] = len(audit.impacted_classes)
         rundir.write_json(out / "enhance_summary.json", results)
     return results
 
@@ -546,7 +537,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _merge_defaults(_read_json(args.config), args.config)
-    run_dir = run_train(config, run_dir=args.out, source=args.config)
+    if args.out is not None and type(config["output_dir"]) is str:  # validation refuses others
+        config["output_dir"] = args.out  # so config.json names where the run is
+    run_dir = run_train(config, source=args.config)
     headline = rundir.read(run_dir)[1].get("headline_map")
     print(f"run complete: {run_dir}" + (f"  headline mAP {headline:.4f}" if headline else ""))
     return 0
@@ -623,8 +616,7 @@ _COMMANDS = {
 }
 
 _CONFIG_ERRORS = (ConfigError, CorpusError, OntologyError, SamplerError, LabelFixError,
-                  ModelError, agg.AggregateError, FileExistsError, FileNotFoundError,
-                  IsADirectoryError, NotADirectoryError, UnicodeDecodeError)
+                  ModelError, agg.AggregateError, OSError, UnicodeDecodeError)
 _NUMERICAL_ERRORS = (DivergenceError, MetricError)
 
 

@@ -4,8 +4,9 @@ Two error families are repaired by adding labels, never removing them:
 a sample labeled with a parent but missing a present child (type1), and
 a sample labeled with a child but missing its parent (type2). Candidates
 come only from one-hop neighbors of the sample's ORIGINAL labels (single
-pass), and a candidate is added iff the teacher score strictly exceeds
-the per-class threshold.
+pass), read off the ontology's parent -> child matrix, and a candidate is
+added iff the teacher score strictly exceeds the class's entry in the
+threshold vector (NaN where a class has no positive to set it).
 """
 
 from __future__ import annotations
@@ -32,24 +33,14 @@ class UndefinedThresholdError(LabelFixError):
     pass
 
 
-@dataclass
-class ThresholdSet:
-    """Per-class score thresholds; nan marks classes with no positive samples."""
-
-    values: np.ndarray
-    policy: str
-
-    def defined(self) -> np.ndarray:
-        return ~np.isnan(self.values)
-
-
-def make_thresholds(scores: np.ndarray, labels: np.ndarray, policy: str) -> ThresholdSet:
+def make_thresholds(scores: np.ndarray, labels: np.ndarray, policy: str) -> np.ndarray:
     """Thresholds from the teacher's scores on each class's positive samples.
 
     policy "mean" takes the mean positive score; "p25"/"p10"/"p5" take the
     nearest-rank percentile of the sorted positive scores (lower percentile,
-    lower threshold, more labels added). Classes without positives get a
-    nan marker; using one during repair is an error unless permissive.
+    lower threshold, more labels added). The result is a float64 vector of
+    one threshold per class; a class without positives gets NaN, and using
+    one during repair is an error unless permissive.
     """
     if policy not in POLICIES:
         raise LabelFixError(f"policy must be one of {POLICIES}, got {policy!r}")
@@ -74,7 +65,7 @@ def make_thresholds(scores: np.ndarray, labels: np.ndarray, policy: str) -> Thre
             ranked = np.sort(pos)
             rank = max(1, math.ceil(pct / 100.0 * pos.size))  # nearest-rank
             values[k] = ranked[rank - 1]
-    return ThresholdSet(values=values, policy=policy)
+    return values
 
 
 @dataclass
@@ -96,25 +87,11 @@ class EnhanceAudit:
         return np.flatnonzero(self.per_class_added > 0).tolist()
 
 
-def _candidate_matrix(onto: Ontology, mode: str) -> np.ndarray:
-    """A[k, j] = 1 iff j is a repair candidate when k is an original label."""
-    c = onto.num_classes
-    a = np.zeros((c, c), dtype=np.uint8)
-    for k in range(c):
-        if mode in ("type1", "both"):
-            for child in onto.children[k]:
-                a[k, child] = 1
-        if mode in ("type2", "both"):
-            for parent in onto.parents[k]:
-                a[k, parent] = 1
-    return a
-
-
 def enhance(
     labels: np.ndarray,
     scores: np.ndarray,
     onto: Ontology,
-    thresholds: ThresholdSet,
+    thresholds: np.ndarray,
     mode: str = "both",
     strict: bool = True,
     split: str = "train",
@@ -133,13 +110,13 @@ def enhance(
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape or labels.ndim != 2:
         raise LabelFixError("labels and scores must both be N x C")
-    if labels.shape[1] != onto.num_classes or len(thresholds.values) != onto.num_classes:
+    if labels.shape[1] != onto.num_classes or len(thresholds) != onto.num_classes:
         raise LabelFixError("class-count mismatch between labels, ontology, and thresholds")
 
-    cand = (labels @ _candidate_matrix(onto, mode)) > 0
-    undefined = ~thresholds.defined()
+    e = onto.edges  # e[k, j]: j is a child of k, so a type1 candidate when k is labeled
+    cand = labels.astype(bool) @ {"type1": e, "type2": e.T, "both": e | e.T}[mode]
     skipped: list[int] = []
-    hit_undefined = cand.any(axis=0) & undefined
+    hit_undefined = cand.any(axis=0) & np.isnan(thresholds)
     if hit_undefined.any():
         skipped = np.flatnonzero(hit_undefined).tolist()
         if strict:
@@ -149,7 +126,7 @@ def enhance(
         log.warning("skipping candidate classes with undefined thresholds: %s", skipped)
 
     with np.errstate(invalid="ignore"):  # nan thresholds compare False
-        add = cand & (scores > thresholds.values[None, :]) & (labels == 0)
+        add = cand & (scores > thresholds[None, :]) & (labels == 0)
     enhanced = (labels | add).astype(np.uint8)
     audit = EnhanceAudit(
         labels_added=int(add.sum()),
@@ -165,7 +142,7 @@ def enhance_eval_set(
     labels: np.ndarray,
     scores: np.ndarray,
     onto: Ontology,
-    thresholds: ThresholdSet,
+    thresholds: np.ndarray,
     mode: str = "both",
     strict: bool = True,
 ) -> tuple[np.ndarray, EnhanceAudit]:

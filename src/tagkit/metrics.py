@@ -159,7 +159,7 @@ class EvalReport:
         return {
             "map": self.map,
             "mean_auc": self.mean_auc,
-            "d_prime": self.dprime,
+            "d_prime": self.dprime if math.isfinite(self.dprime) else None,
             "num_eval": self.num_eval,
             "num_skipped_ap": self.num_skipped_ap,
             "num_skipped_auc": self.num_skipped_auc,

@@ -1,13 +1,17 @@
 """Class taxonomy (parent -> child DAG) constraining label repair.
 
-On disk an ontology is a text file of `parent_name child_name` lines;
-names are resolved against the corpus class table.
+An ontology is one (C, C) bool matrix ``edges``, with ``edges[p, c]`` true
+when p is a parent of c; building one that holds a cycle raises CycleError.
+On disk it is a text file of `parent_name child_name` lines; names are
+resolved against the corpus class table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 
 class OntologyError(Exception):
@@ -22,57 +26,48 @@ class CycleError(OntologyError):
         super().__init__(f"ontology contains a cycle: {' -> '.join(map(str, cycle))}")
 
 
-@dataclass
+@dataclass(eq=False)  # the generated == would compare arrays
 class Ontology:
-    num_classes: int
-    children: list[list[int]]
-    parents: list[list[int]]
+    edges: np.ndarray
+
+    def __post_init__(self):
+        """Refuse a cyclic graph, naming the first cycle of a depth-first search in class
+        order (explicit stack)."""
+        children = [np.flatnonzero(row).tolist() for row in self.edges]
+        state = [0] * len(children)  # 0 unvisited, 1 on path, 2 done
+        for root in range(len(children)):
+            if state[root]:
+                continue
+            state[root] = 1
+            path, pending = [root], [iter(children[root])]
+            while path:
+                for c in pending[-1]:
+                    if state[c] == 1:
+                        raise CycleError(path[path.index(c) :] + [c])
+                    if state[c] == 0:
+                        state[c] = 1
+                        path.append(c)
+                        pending.append(iter(children[c]))
+                        break
+                else:
+                    state[path.pop()] = 2
+                    pending.pop()
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.edges)
 
     @classmethod
     def from_edges(cls, num_classes: int, edges) -> "Ontology":
-        """Build from (parent, child) index pairs; duplicates are collapsed."""
-        children = [set() for _ in range(num_classes)]
-        parents = [set() for _ in range(num_classes)]
+        """Build from (parent, child) index pairs; a repeated pair is one edge."""
+        matrix = np.zeros((num_classes, num_classes), dtype=bool)
         for p, c in edges:
             p, c = int(p), int(c)
             for k in (p, c):
                 if not 0 <= k < num_classes:
                     raise OntologyError(f"class id {k} out of range [0, {num_classes})")
-            children[p].add(c)
-            parents[c].add(p)
-        return cls(
-            num_classes,
-            [sorted(s) for s in children],
-            [sorted(s) for s in parents],
-        )
-
-    def validate(self) -> None:
-        """Accept iff the graph is a DAG; otherwise raise CycleError naming one cycle."""
-        cycle = self._find_cycle()
-        if cycle is not None:
-            raise CycleError(cycle)
-
-    def _find_cycle(self) -> list[int] | None:
-        """First cycle of a depth-first search in class order (explicit stack), or None."""
-        state = [0] * self.num_classes  # 0 unvisited, 1 on path, 2 done
-        for root in range(self.num_classes):
-            if state[root]:
-                continue
-            state[root] = 1
-            path, pending = [root], [iter(self.children[root])]
-            while path:
-                for c in pending[-1]:
-                    if state[c] == 1:
-                        return path[path.index(c) :] + [c]
-                    if state[c] == 0:
-                        state[c] = 1
-                        path.append(c)
-                        pending.append(iter(self.children[c]))
-                        break
-                else:
-                    state[path.pop()] = 2
-                    pending.pop()
-        return None
+            matrix[p, c] = True
+        return cls(matrix)
 
 
 def read_ontology(path: str | Path, class_names: list[str]) -> Ontology:
@@ -90,14 +85,9 @@ def read_ontology(path: str | Path, class_names: list[str]) -> Ontology:
             if name not in index_of:
                 raise OntologyError(f"line {lineno}: unknown class {name!r}")
         edges.append((index_of[parts[0]], index_of[parts[1]]))
-    onto = Ontology.from_edges(len(class_names), edges)
-    onto.validate()
-    return onto
+    return Ontology.from_edges(len(class_names), edges)
 
 
 def write_ontology(onto: Ontology, path: str | Path, class_names: list[str]) -> None:
-    lines = []
-    for p in range(onto.num_classes):
-        for c in onto.children[p]:
-            lines.append(f"{class_names[p]} {class_names[c]}")
+    lines = [f"{class_names[p]} {class_names[c]}" for p, c in np.argwhere(onto.edges)]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))

@@ -26,7 +26,8 @@ on success and deleted on failure, or by the next command if this one is killed.
 dataclass, for a config's sections and synth specs and for summary.json.
 
 ``write_table`` and ``write_json`` write every CSV and JSON report a command makes, a run's
-and every ``--out``'s: a float cell is its exact ``repr``, a NaN cell is empty.
+and every ``--out``'s: a float cell is its exact ``repr``, a NaN cell is empty, and
+``write_json`` refuses NaN and Infinity, which are not JSON.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def write_table(path: Path, header: list[str], rows) -> None:
 
 
 def write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def create(run_dir: Path, config: dict, init_report: dict | None) -> None:

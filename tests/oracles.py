@@ -16,6 +16,9 @@
   must give byte-equal per-class values.
 - Label-repair thresholds, one class at a time from a boolean scan of its
   column. ``labelfix.make_thresholds`` must give byte-equal thresholds.
+- Label repair, one sample at a time over a list of (parent, child) pairs.
+  ``labelfix.enhance`` must give the same labels and the same skipped
+  classes.
 - Training with Adam run tensor by tensor, each with its own moment arrays.
   ``model.train``'s whole-vector Adam must give byte-equal checkpoints.
 """
@@ -177,6 +180,31 @@ def thresholds(scores: np.ndarray, labels: np.ndarray, policy: str) -> np.ndarra
             rank = max(1, math.ceil(pct / 100.0 * pos.size))  # nearest-rank
             values[k] = ranked[rank - 1]
     return values
+
+
+def enhanced(labels: np.ndarray, scores: np.ndarray, pairs, thresholds: np.ndarray,
+             mode: str) -> tuple[np.ndarray, list[int]]:
+    """Repaired labels and the candidate classes with a nan threshold.
+
+    A class is a candidate for a sample when it is one hop (per mode) from one of the
+    sample's original labels; an unlabeled candidate is added when its score strictly
+    beats its threshold.
+    """
+    hops = set()
+    if mode in ("type1", "both"):
+        hops |= {(p, c) for p, c in pairs}  # a labeled parent proposes its child
+    if mode in ("type2", "both"):
+        hops |= {(c, p) for p, c in pairs}  # a labeled child proposes its parent
+    out, undefined = labels.copy(), set()
+    for i in range(len(labels)):
+        for k, j in hops:
+            if not labels[i, k]:
+                continue
+            if math.isnan(thresholds[j]):
+                undefined.add(j)
+            elif not labels[i, j] and scores[i, j] > thresholds[j]:
+                out[i, j] = 1
+    return out, sorted(undefined)
 
 
 def per_tensor_adam_checkpoints(

@@ -12,7 +12,7 @@ import pytest
 
 from tagkit.aggregate import average_weights
 from tagkit.corpus import SynthSpec, generate_synthetic
-from tagkit.labelfix import ThresholdSet, enhance, make_thresholds
+from tagkit.labelfix import enhance, make_thresholds
 from tagkit.metrics import average_precision, d_prime, evaluate, roc_auc
 from tagkit.model import (
     LRSchedule,
@@ -105,7 +105,7 @@ def test_criterion_04_coverage_analytics():
 
 def test_criterion_05_label_enhancement_recovery():
     onto, truth, corrupted, scores = planted_error_benchmark(seed=11, num_samples=200)
-    fixed = ThresholdSet(values=np.full(8, 0.5), policy="mean")
+    fixed = np.full(8, 0.5)
     out, audit = enhance(corrupted, scores, onto, fixed, mode="both")
     deleted = int((truth & ~corrupted).sum())
     recovered = int(((out & ~corrupted) & truth).sum())

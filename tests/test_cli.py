@@ -1025,11 +1025,17 @@ class TestBadInputExitCodes:
 
 @pytest.mark.parametrize("case", ["train --config DIR", "enhance --ontology DIR",
                                   "aggregate --manifest DIR", "0xff in manifest.txt",
-                                  "0xff in --config"])
+                                  "0xff in --config", "train --config LOOP",
+                                  "synth --out LONG"])
 def test_unreadable_input_is_a_config_error(tmp_path, capsys, case):
     folder = tmp_path / "folder"
     folder.mkdir()
-    if case == "enhance --ontology DIR":
+    if case == "train --config LOOP":  # ELOOP: a symlink to itself
+        (tmp_path / "loop.json").symlink_to(tmp_path / "loop.json")
+        argv = ["train", "--config", str(tmp_path / "loop.json")]
+    elif case == "synth --out LONG":  # ENAMETOOLONG: a 300-character file name
+        argv = ["synth", "--classes", "3", "--samples", "12", "--out", str(tmp_path / ("x" * 300))]
+    elif case == "enhance --ontology DIR":
         run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
         argv = ["enhance", "--teacher-run", str(run_dir), "--ontology", str(folder),
                 "--out", str(tmp_path / "enh")]
@@ -1050,6 +1056,34 @@ def test_unreadable_input_is_a_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_train_out_is_the_output_dir_its_config_json_records(tmp_path, capsys):
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps(tiny_config(tmp_path / "run", epochs=1)))
+    elsewhere = tmp_path / "elsewhere"
+    assert main(["train", "--config", str(config_file), "--out", str(elsewhere)]) == 0
+    assert not (tmp_path / "run").exists()
+    assert json.loads((elsewhere / "config.json").read_text())["output_dir"] == str(elsewhere)
+    capsys.readouterr()
+    assert main(["eval", "--run", str(elsewhere)]) == 0
+    assert capsys.readouterr().err == ""  # no mutated-config warning
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_perfect_ranking_writes_strict_json_with_a_null_d_prime(tmp_path):
+    labels = np.array([[1, 0], [0, 1], [1, 1], [0, 0]])
+    report = evaluate(labels * 0.5 + 0.25, labels)
+    assert report.mean_auc == 1.0 and report.dprime == np.inf
+    write_json(tmp_path / "r.json", report.to_dict())
+    back = json.loads((tmp_path / "r.json").read_text(), parse_constant=_refuse_constant)
+    assert back["d_prime"] is None and back["map"] == 1.0
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "bad.json", {"d_prime": value})
 
 
 class TestRunDirectoryContract:

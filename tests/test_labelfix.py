@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagkit.labelfix import (
+    MODES,
     POLICIES,
     LabelFixError,
-    ThresholdSet,
     UndefinedThresholdError,
     enhance,
     enhance_eval_set,
@@ -17,7 +17,7 @@ from tagkit.labelfix import (
 from tagkit.cli import _write_audit
 from tagkit.ontology import Ontology
 
-from oracles import thresholds
+from oracles import enhanced, thresholds
 
 
 def planted_error_benchmark(seed=0, num_samples=200, noise=0.05):
@@ -54,14 +54,15 @@ class TestMakeThresholds:
         scores = np.array([[0.2], [0.4], [0.9], [0.3]])
         labels = np.array([[1], [1], [1], [0]])
         t = make_thresholds(scores, labels, "mean")
-        assert t.values[0] == pytest.approx(0.5)
+        assert t.dtype == np.float64 and t.shape == (1,)
+        assert t[0] == pytest.approx(0.5)
 
     def test_single_positive_same_under_every_policy(self):
         scores = np.array([[0.37], [0.9]])
         labels = np.array([[1], [0]])
         for policy in ("mean", "p25", "p10", "p5"):
             t = make_thresholds(scores, labels, policy)
-            assert t.values[0] == pytest.approx(0.37)
+            assert t[0] == pytest.approx(0.37)
 
     def test_percentile_nearest_rank_oracle(self):
         # 100 positives with scores i/100: p10 lands on the 10th sorted score.
@@ -70,23 +71,23 @@ class TestMakeThresholds:
         t = make_thresholds(scores, labels, "p10")
         ranked = np.sort(scores[:, 0])
         want = ranked[max(1, int(np.ceil(0.10 * 100))) - 1]
-        assert t.values[0] == want == pytest.approx(0.10, abs=0.01)
+        assert t[0] == want == pytest.approx(0.10, abs=0.01)
 
     def test_zero_positive_class_marked_undefined(self):
         scores = np.array([[0.5, 0.5]])
         labels = np.array([[1, 0]])
         t = make_thresholds(scores, labels, "mean")
-        assert not np.isnan(t.values[0])
-        assert np.isnan(t.values[1])
+        assert not np.isnan(t[0])
+        assert np.isnan(t[1])
 
     def test_percentile_chain_monotone(self):
         rng = np.random.default_rng(1)
         scores = rng.random((50, 4))
         labels = (rng.random((50, 4)) < 0.5).astype(int)
         labels[0] = 1
-        t25 = make_thresholds(scores, labels, "p25").values
-        t10 = make_thresholds(scores, labels, "p10").values
-        t5 = make_thresholds(scores, labels, "p5").values
+        t25 = make_thresholds(scores, labels, "p25")
+        t10 = make_thresholds(scores, labels, "p10")
+        t5 = make_thresholds(scores, labels, "p5")
         assert np.all(t5 <= t10 + 1e-15)
         assert np.all(t10 <= t25 + 1e-15)
 
@@ -127,7 +128,7 @@ def test_thresholds_are_byte_equal_to_per_column_oracle(case):
     scores, labels = case
     for policy in POLICIES:
         got = make_thresholds(scores, labels, policy)
-        assert got.values.tobytes() == thresholds(scores, labels, policy).tobytes()
+        assert got.tobytes() == thresholds(scores, labels, policy).tobytes()
 
 
 class TestEnhance:
@@ -136,7 +137,7 @@ class TestEnhance:
         labels = (rng.random((10, 4)) < 0.4).astype(np.uint8)
         labels[:, 0] = 1
         scores = rng.random((10, 4))
-        t = ThresholdSet(values=np.full(4, 0.5), policy="mean")
+        t = np.full(4, 0.5)
         out, audit = enhance(labels, scores, Ontology.from_edges(4, []), t)
         assert np.array_equal(out, labels)
         assert audit.labels_added == 0
@@ -146,7 +147,7 @@ class TestEnhance:
         onto = Ontology.from_edges(2, [(0, 1)])
         labels = np.array([[1, 0]], dtype=np.uint8)
         scores = np.array([[0.8, 0.9]])
-        t = ThresholdSet(values=np.array([0.5, 0.5]), policy="mean")
+        t = np.array([0.5, 0.5])
         out, audit = enhance(labels, scores, onto, t, mode="type1")
         assert out.tolist() == [[1, 1]]
         assert audit.labels_added == 1
@@ -156,13 +157,13 @@ class TestEnhance:
         onto = Ontology.from_edges(2, [(0, 1)])
         labels = np.array([[1, 0]], dtype=np.uint8)
         scores = np.array([[0.8, 0.5]])
-        t = ThresholdSet(values=np.array([0.5, 0.5]), policy="mean")
+        t = np.array([0.5, 0.5])
         out, _ = enhance(labels, scores, onto, t, mode="type1")
         assert out.tolist() == [[1, 0]]  # score == threshold does not add
 
     def test_mode_directions(self):
         onto = Ontology.from_edges(2, [(0, 1)])
-        t = ThresholdSet(values=np.array([0.5, 0.5]), policy="mean")
+        t = np.array([0.5, 0.5])
         scores = np.array([[0.9, 0.9]])
         child_only = np.array([[0, 1]], dtype=np.uint8)
         parent_only = np.array([[1, 0]], dtype=np.uint8)
@@ -182,13 +183,13 @@ class TestEnhance:
         onto = Ontology.from_edges(3, [(0, 1), (1, 2)])
         labels = np.array([[1, 0, 0]], dtype=np.uint8)
         scores = np.array([[0.9, 0.9, 0.9]])
-        t = ThresholdSet(values=np.full(3, 0.1), policy="mean")
+        t = np.full(3, 0.1)
         out, _ = enhance(labels, scores, onto, t, mode="type1")
         assert out.tolist() == [[1, 1, 0]]
 
     def test_planted_error_recovery(self):
         onto, truth, corrupted, scores = planted_error_benchmark(seed=3)
-        t = ThresholdSet(values=np.full(8, 0.5), policy="mean")
+        t = np.full(8, 0.5)
         out, audit = enhance(corrupted, scores, onto, t, mode="both")
         assert np.array_equal(out, truth)
         deleted = int((truth & ~corrupted).sum())
@@ -197,7 +198,7 @@ class TestEnhance:
 
     def test_both_is_union_of_type1_and_type2(self):
         onto, truth, corrupted, scores = planted_error_benchmark(seed=4)
-        t = ThresholdSet(values=np.full(8, 0.5), policy="mean")
+        t = np.full(8, 0.5)
         out1, _ = enhance(corrupted, scores, onto, t, mode="type1")
         out2, _ = enhance(corrupted, scores, onto, t, mode="type2")
         both, _ = enhance(corrupted, scores, onto, t, mode="both")
@@ -206,7 +207,7 @@ class TestEnhance:
     def test_monotonicity_labels_only_added(self):
         onto, _, corrupted, scores = planted_error_benchmark(seed=5)
         rng = np.random.default_rng(5)
-        t = ThresholdSet(values=rng.random(8), policy="mean")
+        t = rng.random(8)
         out, _ = enhance(corrupted, scores, onto, t, mode="both")
         assert np.all(out >= corrupted)
 
@@ -214,7 +215,7 @@ class TestEnhance:
         onto = Ontology.from_edges(2, [(0, 1)])
         labels = np.array([[1, 0]], dtype=np.uint8)
         scores = np.array([[0.9, 0.9]])
-        t = ThresholdSet(values=np.array([0.5, np.nan]), policy="mean")
+        t = np.array([0.5, np.nan])
         with pytest.raises(UndefinedThresholdError):
             enhance(labels, scores, onto, t, mode="type1", strict=True)
         out, audit = enhance(labels, scores, onto, t, mode="type1", strict=False)
@@ -225,7 +226,7 @@ class TestEnhance:
         onto = Ontology.from_edges(2, [(0, 1)])
         labels = np.array([[1, 0], [1, 0], [1, 1], [1, 0]], dtype=np.uint8)
         scores = np.array([[0.9, 0.8], [0.9, 0.1], [0.9, 0.9], [0.9, 0.7]])
-        t = ThresholdSet(values=np.array([0.5, 0.5]), policy="mean")
+        t = np.array([0.5, 0.5])
         _, audit = enhance(labels, scores, onto, t, mode="type1")
         assert audit.labels_added == 2
         assert audit.added_pct == pytest.approx(100 * 2 / 5)
@@ -236,15 +237,43 @@ class TestEnhance:
 
     def test_dimension_mismatch(self):
         onto = Ontology.from_edges(3, [])
-        t = ThresholdSet(values=np.full(3, 0.5), policy="mean")
+        t = np.full(3, 0.5)
         with pytest.raises(LabelFixError):
             enhance(np.zeros((2, 4), dtype=np.uint8), np.zeros((2, 4)), onto, t)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("seed", range(10))
+def test_enhance_matches_per_sample_oracle_on_random_dags(seed, mode):
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(2, 12))
+    pos = rng.permutation(c)  # topological position of each class
+    draws = rng.integers(0, c, size=(int(rng.integers(0, 3 * c)), 2)).tolist()
+    pairs = [(a, b) if pos[a] < pos[b] else (b, a) for a, b in draws if a != b]
+    onto = Ontology.from_edges(c, pairs)
+    labels = (rng.random((30, c)) < 0.3).astype(np.uint8)
+    scores = np.round(rng.random((30, c)), 1)  # ties with the thresholds test the strict >
+    t = np.round(rng.random(c), 1)
+    t[rng.random(c) < rng.choice([0.0, 0.3])] = np.nan
+    want, undefined = enhanced(labels, scores, pairs, t, mode)
+
+    if undefined:
+        with pytest.raises(UndefinedThresholdError):
+            enhance(labels, scores, onto, t, mode=mode, strict=True)
+    else:
+        out, _ = enhance(labels, scores, onto, t, mode=mode, strict=True)
+        assert np.array_equal(out, want)
+    out, audit = enhance(labels, scores, onto, t, mode=mode, strict=False)
+    assert out.dtype == np.uint8 and np.array_equal(out, want)
+    assert audit.skipped_undefined == undefined
+    assert audit.per_class_added.tolist() == (want - labels).sum(axis=0).tolist()
+    assert audit.labels_added == int((want - labels).sum())
 
 
 class TestEnhanceEvalSet:
     def test_same_machinery_tagged_as_eval(self):
         onto, truth, corrupted, scores = planted_error_benchmark(seed=6)
-        t = ThresholdSet(values=np.full(8, 0.5), policy="mean")
+        t = np.full(8, 0.5)
         train_out, train_audit = enhance(corrupted, scores, onto, t, mode="both")
         eval_out, eval_audit = enhance_eval_set(corrupted, scores, onto, t, mode="both")
         assert np.array_equal(train_out, eval_out)
