@@ -59,12 +59,11 @@ class Committee:
 def ensemble_mean(committee: Committee) -> np.ndarray:
     """Elementwise mean of the members, the one in-order mean of weights and predictions.
 
-    Members are summed in order into one matrix, with no stacked copy of the
-    committee; the bits are those of ``np.mean(np.stack(members), axis=0)``.
+    For every shape, the first member is copied, the others are added to it in
+    order, and the sum is divided by the member count: one running sum, with
+    no stacked copy of the committee.
     """
     members = committee.members
-    if members[0].size == 1:  # numpy sums a lone element's axis pairwise, not in order
-        return np.mean(np.stack(members), axis=0)
     total = members[0].copy()
     for m in members[1:]:
         total += m

@@ -597,8 +597,8 @@ def _cmd_coverage(args) -> int:
             mixup_rate=args.mixup_rate,
             balanced=not args.plain,
         )
-        config.validate(corpus.feature_shape)
-        trace = simulate_coverage(weights, labels, config, args.epochs, args.seed)
+        trace = simulate_coverage(weights, labels, config, corpus.feature_shape, args.epochs,
+                                  args.seed)
         rundir.write_table(out, ["epoch", "unseen_fraction"],
                            enumerate(trace.unseen_fraction, start=1))
     print(f"unseen after {args.epochs} epochs: {trace.unseen_fraction[-1]:.4f}")

@@ -190,6 +190,11 @@ def generate_synthetic(spec: SynthSpec) -> MultiLabelCorpus:
     """Generate a corpus deterministically from the spec (pure function of SynthSpec)."""
     c, n = spec.num_classes, spec.num_samples
     t_frames, f_bins = spec.feature_shape
+    try:  # before any draw; stored payloads are float32, so disk round-trips are exact
+        features = np.empty((n, t_frames, f_bins), dtype=np.float32)
+    except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
+        raise CorpusError(f"feature_shape {spec.feature_shape} of {n} samples does not fit"
+                          " in memory") from None
     rng = stream(spec.seed, "synth")
 
     tail, head_primary, head_adds = _plan_counts(spec)
@@ -213,8 +218,6 @@ def generate_synthetic(spec: SynthSpec) -> MultiLabelCorpus:
     signatures /= np.linalg.norm(signatures, axis=1, keepdims=True)
     window = max(1, t_frames // 2)
 
-    # Stored payloads are float32; quantize now so disk round-trips are exact.
-    features = np.empty((n, t_frames, f_bins), dtype=np.float32)
     for i in range(n):
         x = rng.standard_normal((t_frames, f_bins))
         for k in np.flatnonzero(labels[i]):

@@ -7,6 +7,11 @@ come only from one-hop neighbors of the sample's ORIGINAL labels (single
 pass), read off the ontology's parent -> child matrix, and a candidate is
 added iff the teacher score strictly exceeds the class's entry in the
 threshold vector (NaN where a class has no positive to set it).
+
+One function, `enhance`, repairs every split. `enhance_eval_set` is a second
+name for it, and `run_enhance` repairs the eval split through that name:
+perfbench's tracer wraps `tagkit.cli.enhance_eval_set`, so its `enhance` span
+still sees both splits' repairs.
 """
 
 from __future__ import annotations
@@ -76,7 +81,6 @@ class EnhanceAudit:
     original_bits: int
     per_class_added: np.ndarray
     skipped_undefined: list[int] = field(default_factory=list)
-    split: str = "train"
 
     @property
     def added_pct(self) -> float:
@@ -94,7 +98,6 @@ def enhance(
     thresholds: np.ndarray,
     mode: str = "both",
     strict: bool = True,
-    split: str = "train",
 ) -> tuple[np.ndarray, EnhanceAudit]:
     """Single-pass ontology-constrained label addition.
 
@@ -114,7 +117,9 @@ def enhance(
         raise LabelFixError("class-count mismatch between labels, ontology, and thresholds")
 
     e = onto.edges  # e[k, j]: j is a child of k, so a type1 candidate when k is labeled
-    cand = labels.astype(bool) @ {"type1": e, "type2": e.T, "both": e | e.T}[mode]
+    neighbours = {"type1": e, "type2": e.T, "both": e | e.T}[mode]
+    # Counts of labelled neighbours, at most C: float32 through BLAS is exact.
+    cand = (labels.astype(np.float32) @ neighbours.astype(np.float32)) > 0
     skipped: list[int] = []
     hit_undefined = cand.any(axis=0) & np.isnan(thresholds)
     if hit_undefined.any():
@@ -133,18 +138,8 @@ def enhance(
         original_bits=int(labels.sum()),
         per_class_added=add.sum(axis=0).astype(np.int64),
         skipped_undefined=skipped,
-        split=split,
     )
     return enhanced, audit
 
 
-def enhance_eval_set(
-    labels: np.ndarray,
-    scores: np.ndarray,
-    onto: Ontology,
-    thresholds: np.ndarray,
-    mode: str = "both",
-    strict: bool = True,
-) -> tuple[np.ndarray, EnhanceAudit]:
-    """Same repair machinery applied to an evaluation split (audited as such)."""
-    return enhance(labels, scores, onto, thresholds, mode=mode, strict=strict, split="eval")
+enhance_eval_set = enhance

@@ -4,8 +4,8 @@ All randomness for an epoch is pre-drawn into an EpochPlan so training
 workers can consume draws in any order; the plan for a given
 (seed, epoch) never depends on who consumed what. Draw blocks happen in
 a fixed order (primary indices, mixup gates, partners, lambdas, frequency
-masks, time masks), which lets `simulate_coverage` re-derive just the
-index blocks from the same stream and agree exactly with plan consumers.
+masks, time masks). `simulate_coverage` replays `plan_epoch` itself, so
+its trace is the draws training consumes by construction.
 """
 
 from __future__ import annotations
@@ -87,22 +87,6 @@ class EpochPlan:
         return len(self.primary)
 
 
-def _draw_indices(
-    weights: np.ndarray, config: AugmentConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """First three draw blocks shared by plan_epoch and simulate_coverage."""
-    n = len(weights)
-    if config.balanced:
-        p = weights / weights.sum()
-        primary = rng.choice(n, size=n, replace=True, p=p)
-    else:
-        primary = rng.permutation(n)
-    gates = rng.random(n) < config.mixup_rate
-    partner = rng.integers(0, n, size=n)
-    lam = rng.beta(config.mixup_alpha, config.mixup_alpha, size=n)
-    return primary.astype(np.int64), gates, partner.astype(np.int64), lam
-
-
 def plan_epoch(
     weights: np.ndarray,
     config: AugmentConfig,
@@ -121,19 +105,23 @@ def plan_epoch(
     rng = np.random.default_rng(rng_seed)
     n = len(weights)
 
-    primary, gates, partner, lam = _draw_indices(weights, config, rng)
+    if config.balanced:
+        primary = rng.choice(n, size=n, replace=True, p=weights / weights.sum())
+    else:
+        primary = rng.permutation(n)
+    gates = rng.random(n) < config.mixup_rate
+    partner = rng.integers(0, n, size=n)
+    lam = rng.beta(config.mixup_alpha, config.mixup_alpha, size=n)
     f_len = rng.integers(0, config.freq_mask_max + 1, size=n)
     f_off = rng.integers(0, f_bins - f_len + 1)
     t_len = rng.integers(0, config.time_mask_max + 1, size=n)
     t_off = rng.integers(0, t_frames - t_len + 1)
 
-    partner = np.where(gates, partner, -1)
-    lam = np.where(gates, lam, 1.0)
     return EpochPlan(
-        primary=primary,
+        primary=primary.astype(np.int64),
         is_mixup=gates,
-        partner=partner,
-        mix_lambda=lam,
+        partner=np.where(gates, partner, -1).astype(np.int64),
+        mix_lambda=np.where(gates, lam, 1.0),
         freq_off=f_off.astype(np.int64),
         freq_len=f_len.astype(np.int64),
         time_off=t_off.astype(np.int64),
@@ -153,30 +141,29 @@ def simulate_coverage(
     weights: np.ndarray,
     labels: np.ndarray,
     config: AugmentConfig,
+    feature_shape: tuple[int, int],
     epochs: int,
     rng_seed: int,
 ) -> CoverageTrace:
-    """Track which samples the sampler would feed the model across epochs.
+    """Track which samples training feeds the model across epochs.
 
-    A sample counts as seen when drawn as a primary or as a mixup partner.
-    Uses the same per-epoch streams as plan_epoch, so the trace matches
-    what an actual training run would consume.
+    Each epoch replays ``plan_epoch`` on the training stream
+    ``stream_seed(rng_seed, "sampler", epoch)``, so the trace is the run's
+    own draws. A sample counts as seen when drawn as a primary or as a
+    mixup partner; feature_shape is the clip shape the masks are drawn for.
     """
     if epochs < 1:
         raise SamplerError("epochs must be >= 1")
     if rng_seed < 0:
         raise SamplerError("seed must be >= 0")
     labels = np.asarray(labels)
-    n = len(weights)
-    seen = np.zeros(n, dtype=bool)
+    seen = np.zeros(len(weights), dtype=bool)
     unseen = np.empty(epochs, dtype=np.float64)
     class_freq = np.zeros(labels.shape[1], dtype=np.int64)
     for epoch in range(1, epochs + 1):
-        rng = np.random.default_rng(stream_seed(rng_seed, "sampler", epoch))
-        primary, gates, partner, _ = _draw_indices(weights, config, rng)
-        seen[primary] = True
-        seen[partner[gates]] = True
-        class_freq += labels[primary].sum(axis=0).astype(np.int64)
-        class_freq += labels[partner[gates]].sum(axis=0).astype(np.int64)
+        plan = plan_epoch(weights, config, feature_shape, stream_seed(rng_seed, "sampler", epoch))
+        for drawn in (plan.primary, plan.partner[plan.is_mixup]):
+            seen[drawn] = True
+            class_freq += labels[drawn].sum(axis=0).astype(np.int64)
         unseen[epoch - 1] = 1.0 - seen.mean()
     return CoverageTrace(unseen_fraction=unseen, class_frequency=class_freq)

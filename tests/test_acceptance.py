@@ -84,7 +84,7 @@ def test_criterion_04_coverage_analytics():
     n = 10_000
     trace = simulate_coverage(
         np.ones(n), np.ones((n, 1), dtype=int),
-        AugmentConfig(freq_mask_max=2, time_mask_max=2, mixup_rate=0.0), 1, 515
+        AugmentConfig(freq_mask_max=2, time_mask_max=2, mixup_rate=0.0), (8, 4), 1, 515
     )
     uniform_err = abs(trace.unseen_fraction[0] - math.exp(-1))
 
@@ -95,9 +95,9 @@ def test_criterion_04_coverage_analytics():
     w = make_weights(labels)
     base = dict(freq_mask_max=2, time_mask_max=2)
     unseen_mix = simulate_coverage(w, labels, AugmentConfig(mixup_rate=0.5, **base),
-                                   5, 7).unseen_fraction[4]
+                                   corpus.feature_shape, 5, 7).unseen_fraction[4]
     unseen_plain = simulate_coverage(w, labels, AugmentConfig(mixup_rate=0.0, **base),
-                                     5, 7).unseen_fraction[4]
+                                     corpus.feature_shape, 5, 7).unseen_fraction[4]
     ok = uniform_err <= 0.01 and unseen_mix < unseen_plain
     _report(4, ok, f"|unseen - 1/e| = {uniform_err:.4f}; "
                    f"zipf unseen@5: mixup {unseen_mix:.4f} < plain {unseen_plain:.4f}")

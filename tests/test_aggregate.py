@@ -96,12 +96,17 @@ class TestEnsembleMean:
                 want = sum(m[i, j] for m in members) / 7
                 assert out[i, j] == pytest.approx(want, abs=1e-15)
 
-    def test_byte_equal_to_stacked_mean_without_a_stack(self):
+    def test_byte_equal_to_in_order_sum_without_a_stack(self):
         rng = np.random.default_rng(5)
         for shape in ((1, 1), (1, 2), (2, 1), (7, 3)):
             for m in (1, 2, 8, 9):
                 members = [rng.random(shape) * 10.0 ** rng.integers(-3, 3) for _ in range(m)]
-                want = np.mean(np.stack(members), axis=0)
+                want = np.empty(shape)
+                for idx in np.ndindex(shape):  # left to right, one element at a time
+                    total = members[0][idx]
+                    for member in members[1:]:
+                        total = total + member[idx]
+                    want[idx] = total / m
                 assert ensemble_mean(Committee(members)).tobytes() == want.tobytes()
         members = [rng.random((200, 50)) for _ in range(10)]
         tracemalloc.start()

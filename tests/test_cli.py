@@ -991,6 +991,21 @@ class TestBadInputExitCodes:
         for out in ("run2", "enh", "agg"):
             assert not (tmp_path / out).exists()
 
+    def test_synthetic_corpus_too_big_to_allocate(self, tmp_path, capsys):
+        # numpy refuses these shapes before it allocates anything; a huge class or
+        # sample count would fill memory before the feature array is reached.
+        huge = str(2**62)
+        for dim in ("--freq-bins", "--time-frames"):
+            self.assert_config_error(["synth", "--classes", "3", "--samples", "12", dim, huge,
+                                      "--out", str(tmp_path / "x")], capsys)
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps({
+            "output_dir": str(tmp_path / "run"), "augment": {"time_mask_max": 8},
+            "corpus": {"synth": {"num_classes": 3, "num_samples": 12,
+                                 "feature_shape": [32, 2**62]}}}))
+        self.assert_config_error(["train", "--config", str(config_file)], capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     def test_eval_checkpoint_must_be_one_the_run_holds(self, tmp_path, capsys):
         run_dir = run_train(tiny_config(tmp_path / "run", epochs=2))
         other = run_train(tiny_config(tmp_path / "other", seed=1, epochs=2))

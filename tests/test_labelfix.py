@@ -235,6 +235,18 @@ class TestEnhance:
         assert rows[0] == "class,labels_added,impacted"
         assert rows[2] == "child,2,1"
 
+    @pytest.mark.parametrize("mode", ["type1", "both"])
+    def test_child_with_256_labelled_parents_is_a_candidate(self, mode):
+        # 256 labelled neighbours of one class: a uint8 count would wrap to 0.
+        onto = Ontology.from_edges(257, [(k, 256) for k in range(256)])
+        labels = np.zeros((2, 257), dtype=np.uint8)
+        labels[0, :256] = 1
+        neighbours = onto.edges.astype(np.uint8)
+        assert (labels @ neighbours)[0, 256] == 0
+        out, audit = enhance(labels, np.full((2, 257), 0.9), onto, np.full(257, 0.5), mode=mode)
+        assert out[0].tolist() == [1] * 257 and out[1].tolist() == [0] * 257
+        assert audit.labels_added == 1 and audit.impacted_classes == [256]
+
     def test_dimension_mismatch(self):
         onto = Ontology.from_edges(3, [])
         t = np.full(3, 0.5)
@@ -271,11 +283,14 @@ def test_enhance_matches_per_sample_oracle_on_random_dags(seed, mode):
 
 
 class TestEnhanceEvalSet:
-    def test_same_machinery_tagged_as_eval(self):
+    def test_eval_split_is_repaired_by_enhance_itself(self):
+        assert enhance_eval_set is enhance
         onto, truth, corrupted, scores = planted_error_benchmark(seed=6)
         t = np.full(8, 0.5)
         train_out, train_audit = enhance(corrupted, scores, onto, t, mode="both")
         eval_out, eval_audit = enhance_eval_set(corrupted, scores, onto, t, mode="both")
         assert np.array_equal(train_out, eval_out)
-        assert train_audit.split == "train"
-        assert eval_audit.split == "eval"
+        assert train_audit.labels_added == eval_audit.labels_added > 0
+        assert train_audit.original_bits == eval_audit.original_bits
+        assert train_audit.per_class_added.tolist() == eval_audit.per_class_added.tolist()
+        assert train_audit.skipped_undefined == eval_audit.skipped_undefined

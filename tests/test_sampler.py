@@ -139,7 +139,7 @@ class TestSimulateCoverage:
         w = np.ones(50)
         labels = np.ones((50, 1), dtype=int)
         trace = simulate_coverage(
-            w, labels, AugmentConfig(balanced=False, mixup_rate=0.0, **CFG_KW), 1, 0
+            w, labels, AugmentConfig(balanced=False, mixup_rate=0.0, **CFG_KW), SHAPE, 1, 0
         )
         assert trace.unseen_fraction[0] == 0.0
 
@@ -149,7 +149,7 @@ class TestSimulateCoverage:
         w = np.ones(n)
         labels = np.ones((n, 1), dtype=int)
         trace = simulate_coverage(
-            w, labels, AugmentConfig(mixup_rate=0.0, **CFG_KW), 1, 123
+            w, labels, AugmentConfig(mixup_rate=0.0, **CFG_KW), SHAPE, 1, 123
         )
         assert trace.unseen_fraction[0] == pytest.approx(math.exp(-1), abs=0.01)
 
@@ -161,17 +161,17 @@ class TestSimulateCoverage:
         labels = corpus.label_matrix()
         w = make_weights(labels)
         with_mix = simulate_coverage(
-            w, labels, AugmentConfig(mixup_rate=0.5, **CFG_KW), 5, 77
+            w, labels, AugmentConfig(mixup_rate=0.5, **CFG_KW), SHAPE, 5, 77
         )
         without = simulate_coverage(
-            w, labels, AugmentConfig(mixup_rate=0.0, **CFG_KW), 5, 77
+            w, labels, AugmentConfig(mixup_rate=0.0, **CFG_KW), SHAPE, 5, 77
         )
         assert with_mix.unseen_fraction[4] < without.unseen_fraction[4]
 
     def test_unseen_fraction_nonincreasing(self):
         w = np.random.default_rng(5).random(300) + 0.05
         labels = np.ones((300, 1), dtype=int)
-        trace = simulate_coverage(w, labels, AugmentConfig(**CFG_KW), 8, 6)
+        trace = simulate_coverage(w, labels, AugmentConfig(**CFG_KW), SHAPE, 8, 6)
         assert np.all(np.diff(trace.unseen_fraction) <= 0)
 
     def test_agrees_with_plan_epoch_streams(self):
@@ -188,17 +188,36 @@ class TestSimulateCoverage:
             plan = plan_epoch(w, config, SHAPE, stream_seed(master, "sampler", epoch))
             seen[plan.primary] = True
             seen[plan.partner[plan.is_mixup]] = True
-        trace = simulate_coverage(w, labels, config, 3, master)
+        trace = simulate_coverage(w, labels, config, SHAPE, 3, master)
         assert trace.unseen_fraction[2] == 1 - seen.mean()
 
     def test_class_frequency_counts_primary_and_partner_labels(self):
         labels = np.array([[1, 0], [0, 1], [0, 1], [0, 1]])
         w = np.ones(4)
         config = AugmentConfig(mixup_rate=0.0, balanced=False, **CFG_KW)
-        trace = simulate_coverage(w, labels, config, 2, 0)
+        trace = simulate_coverage(w, labels, config, SHAPE, 2, 0)
         # traversal with no mixup touches every sample once per epoch
         assert trace.class_frequency.tolist() == [2, 6]
+        # with mixup on, each replayed plan's primaries and mixed partners count
+        corpus = generate_synthetic(
+            SynthSpec(num_classes=6, num_samples=90, seed=3, feature_shape=SHAPE)
+        )
+        labels = corpus.label_matrix()
+        w = make_weights(labels)
+        config = AugmentConfig(mixup_rate=0.6, **CFG_KW)
+        want = np.zeros(labels.shape[1])
+        mixed = 0
+        for epoch in range(1, 5):
+            plan = plan_epoch(w, config, SHAPE, stream_seed(9, "sampler", epoch))
+            partners = plan.partner[plan.is_mixup]
+            want += labels[plan.primary].sum(axis=0) + labels[partners].sum(axis=0)
+            mixed += len(partners)
+        trace = simulate_coverage(w, labels, config, SHAPE, 4, 9)
+        assert mixed > 0
+        assert np.array_equal(trace.class_frequency, want)
 
     def test_rejects_zero_epochs(self):
         with pytest.raises(SamplerError):
-            simulate_coverage(np.ones(3), np.ones((3, 1)), AugmentConfig(**CFG_KW), 0, 0)
+            simulate_coverage(
+                np.ones(3), np.ones((3, 1)), AugmentConfig(**CFG_KW), SHAPE, 0, 0
+            )
