@@ -34,15 +34,7 @@ from .rng import stream
 from .rundir import ConfigError, from_json
 from .sampler import AugmentConfig, SamplerError, make_weights, simulate_coverage
 
-ABLATION_TOGGLES = (
-    "pretrain-init",
-    "balanced",
-    "masking",
-    "mixup",
-    "labelfix",
-    "ensemble",
-    "weight-avg",
-)
+ABLATION_TOGGLES = ("pretrain-init", "balanced", "masking", "mixup", "labelfix")
 
 
 # -- config ----------------------------------------------------------------
@@ -113,8 +105,8 @@ def validate_config(config: dict, source: str = "<dict>") -> tuple:
                 _check_path(spec[key], f"{field}.{key}", source)
     if config["init_path"] is not None:
         _check_path(config["init_path"], "init_path", source)
-    if type(config["output_dir"]) is not str:
-        raise ConfigError(f"{source}: output_dir must be a string")
+    if type(config["output_dir"]) is not str or "\0" in config["output_dir"]:
+        raise ConfigError(f"{source}: output_dir must be a string without a NUL byte")
     start = config["weight_avg_start"]
     if start is not None and (type(start) is not int or start < 1):
         raise ConfigError(f"{source}: weight_avg_start must be null or an integer >= 1")
@@ -224,15 +216,15 @@ def run_train(config: dict, run_dir: str | Path | None = None, source: str = "<d
     ``config`` is validated here, and its errors name ``source``."""
     specs, model_config, augment_config, train_config = validate_config(config, source)
     run_dir = Path(run_dir if run_dir is not None else config["output_dir"])
-    # The corpora load first: a model sized by a manifest's shape that cannot be
-    # allocated would fail in the init with a bare MemoryError.
+    # The corpora and the model are built first, so one that cannot be allocated (a
+    # ModelError or CorpusError) leaves no run directory.
     corpus, eval_corpus = _build_corpora(specs)
-    init_model = init_report = None
+    init_rng, init_report = stream(config["seed"], "init"), None  # train's own default stream
     if config["init_path"]:
-        init_model, loaded, reinit = load_external_init(
-            model_config, config["init_path"], stream(config["seed"], "init")
-        )
+        init_model, loaded, reinit = load_external_init(model_config, config["init_path"], init_rng)
         init_report = {"loaded": loaded, "reinitialized": reinit}
+    else:
+        init_model = Model.init(model_config, init_rng)
     rundir.create(run_dir, config, init_report)
 
     result = train(
@@ -263,7 +255,7 @@ def run_train(config: dict, run_dir: str | Path | None = None, source: str = "<d
                               eval_labels)
         averaged = (wa_vec, wa_report, ens_report)
         summary.update(
-            headline_map=result.headline_map(train_config.report_last_k),
+            headline_map=float(np.mean(summary["per_epoch_map"][-train_config.report_last_k:])),
             weight_avg_start=start,
             weight_avg_map=wa_report.map,
             ensemble_map=ens_report.map,
@@ -271,15 +263,6 @@ def run_train(config: dict, run_dir: str | Path | None = None, source: str = "<d
     rundir.finish(run_dir, result, corpus.class_names, corpus.labels.sum(axis=0), summary,
                   averaged)
     return run_dir
-
-
-def _headline_for_variant(summary: dict, removed: set[str]) -> float:
-    """Ensemble mAP unless ensembling is ablated, then weight-avg, then last-k mean."""
-    if "ensemble" not in removed:
-        return summary["ensemble_map"]
-    if "weight-avg" not in removed:
-        return summary["weight_avg_map"]
-    return summary["headline_map"]
 
 
 def apply_toggle(config: dict, toggle: str) -> dict:
@@ -295,8 +278,6 @@ def apply_toggle(config: dict, toggle: str) -> dict:
         out["init_path"] = None
     elif toggle == "labelfix":
         out["corpus"].pop("labels", None)
-    elif toggle in ("ensemble", "weight-avg"):
-        pass  # reporting-side toggles; headline selection handles them
     else:
         raise ConfigError(f"unknown ablation toggle {toggle!r}")
     return out
@@ -304,11 +285,12 @@ def apply_toggle(config: dict, toggle: str) -> dict:
 
 def run_ablation(config: dict, toggles: list[str], num_seeds: int, out_dir: str | Path,
                  source: str = "<dict>") -> list[dict]:
-    """Train the full recipe plus one variant per removed technique; tabulate mAP.
+    """Train the full recipe plus one variant per removed technique; tabulate ensemble mAP.
 
     ``config`` is validated here, and its errors name ``source``. Each distinct run, keyed
     by its config without ``output_dir``, trains once: a variant that repeats a run (as
-    ``ensemble`` and ``weight-avg`` repeat ``full``'s) reads its summary and gets no directory."""
+    ``pretrain-init`` repeats ``full``'s without an ``init_path``) reads its summary and
+    gets no directory."""
     toggles = list(dict.fromkeys(toggles))  # a repeated toggle is run once
     for toggle in toggles:
         if toggle not in ABLATION_TOGGLES:
@@ -319,11 +301,10 @@ def run_ablation(config: dict, toggles: list[str], num_seeds: int, out_dir: str 
     if num_seeds < 1:
         raise ConfigError(f"ablate needs at least one seed, got {num_seeds}")
     out_dir = Path(out_dir)
-    variants = [("full", set(), config)] + [(f"no-{t}", {t}, apply_toggle(config, t))
-                                            for t in toggles]
+    variants = [("full", config)] + [(f"no-{t}", apply_toggle(config, t)) for t in toggles]
     rows, summary_of = [], {}  # config_hash with output_dir null -> that run's summary
     with rundir.publish(out_dir) as partial:
-        for name, removed, variant_config in variants:
+        for name, variant_config in variants:
             summaries = []
             for s in range(num_seeds):
                 run_config = {**variant_config, "seed": config["seed"] + s, "output_dir": None}
@@ -334,9 +315,9 @@ def run_ablation(config: dict, toggles: list[str], num_seeds: int, out_dir: str 
                     run_dir = run_train(run_config, partial / run_name, source)
                     summary_of[key] = rundir.read(run_dir)[1]
                 summaries.append(summary_of[key])
-            headlines = [_headline_for_variant(summary, removed) for summary in summaries]
-            rows.append({"variant": name, "map_mean": float(np.mean(headlines)),
-                         "map_sd": float(np.std(headlines))})
+            ensemble_maps = [summary["ensemble_map"] for summary in summaries]
+            rows.append({"variant": name, "map_mean": float(np.mean(ensemble_maps)),
+                         "map_sd": float(np.std(ensemble_maps))})
             for column, key in (("last_k_map_mean", "headline_map"),
                                 ("weight_avg_map_mean", "weight_avg_map"),
                                 ("ensemble_map_mean", "ensemble_map")):
@@ -415,6 +396,8 @@ def run_aggregate(manifest_path: str | Path, out_dir: str | Path,
         manifest_path = Path(manifest_path)
         lines = [line.strip() for line in manifest_path.read_text().splitlines()]
         run_dirs = [Path(line) for line in lines if line and not line.startswith("#")]
+        if any("\0" in line for line in lines):
+            raise ConfigError(f"committee manifest {manifest_path} holds a NUL byte")
         if not run_dirs:
             raise ConfigError(f"committee manifest {manifest_path} lists no runs")
         for i, run_dir in enumerate(run_dirs):

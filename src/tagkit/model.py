@@ -171,8 +171,12 @@ class Model:
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "Model":
         """Fresh parameters: weights ~ N(0, 1/fan_in), biases and gates zero."""
         manifest = cls.param_manifest(config)
-        model = cls(config, ParameterVector(
-            values=np.zeros(sum(math.prod(shape) for _, shape in manifest)), manifest=manifest))
+        size = sum(math.prod(shape) for _, shape in manifest)
+        try:
+            values = np.zeros(size)
+        except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
+            raise ModelError(f"{size} parameters do not fit in memory") from None
+        model = cls(config, ParameterVector(values=values, manifest=manifest))
         for name, view in model.params.items():
             if not (name.endswith("_b") or name in ("b", "head_gates")):
                 fan_in = view.shape[0] if view.ndim == 2 else view.shape[1]
@@ -495,13 +499,6 @@ class TrainResult:
     log_rows: list[dict]  # epoch, iteration, lr, loss, eval_map
     eval_reports: list[EvalReport]
     eval_predictions: list[np.ndarray]  # per epoch, the (N_eval, C) scores behind eval_reports
-
-    def headline_map(self, last_k: int = 5) -> float:
-        """Mean eval mAP over the last k epochs (the run's headline number)."""
-        if not self.eval_reports:
-            raise ModelError("run was trained without an eval corpus")
-        tail = self.eval_reports[-last_k:]
-        return float(np.mean([r.map for r in tail]))
 
 
 def _assemble_batch(

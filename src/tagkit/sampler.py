@@ -158,7 +158,10 @@ def simulate_coverage(
         raise SamplerError("seed must be >= 0")
     labels = np.asarray(labels)
     seen = np.zeros(len(weights), dtype=bool)
-    unseen = np.empty(epochs, dtype=np.float64)
+    try:
+        unseen = np.empty(epochs, dtype=np.float64)
+    except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
+        raise SamplerError(f"{epochs} epochs of coverage do not fit in memory") from None
     class_freq = np.zeros(labels.shape[1], dtype=np.int64)
     for epoch in range(1, epochs + 1):
         plan = plan_epoch(weights, config, feature_shape, stream_seed(rng_seed, "sampler", epoch))

@@ -230,7 +230,7 @@ def recipe_runs():
                 TrainConfig(epochs=25, batch_size=100, seed=seed, schedule=schedule),
                 eval_corpus=evalc,
             )
-            headlines[variant].append(result.headline_map(5))
+            headlines[variant].append(float(np.mean([r.map for r in result.eval_reports[-5:]])))
             if variant == "full":
                 full_final_preds.append(
                     Model.from_vector(model_config, result.checkpoints[-1]).predict(eval_feats))

@@ -21,7 +21,6 @@ from tagkit.cli import (
     DEFAULT_CONFIG,
     SECTIONS,
     ConfigError,
-    _headline_for_variant,
     _merge_defaults,
     _read_json,
     apply_toggle,
@@ -320,6 +319,13 @@ class TestRunTrain:
         assert sa["headline_map"] == sb["headline_map"]
         assert sa["per_epoch_map"] == sb["per_epoch_map"]
 
+    def test_headline_is_mean_of_the_last_k_epochs(self, tmp_path):
+        config = tiny_config(tmp_path / "run", epochs=4)
+        config["train"]["report_last_k"] = 2
+        summary = json.loads((run_train(config) / "summary.json").read_text())
+        assert len(summary["per_epoch_map"]) == 4
+        assert summary["headline_map"] == float(np.mean(summary["per_epoch_map"][-2:]))
+
     def test_train_refuses_an_existing_directory(self, tmp_path):
         # A lock file left by a killed run, a finished run, and an empty directory.
         (tmp_path / "locked").mkdir()
@@ -433,17 +439,26 @@ class TestAblation:
         out = tmp_path / "abl"
         rows = run_ablation(tiny_config(tmp_path / "base", epochs=1), list(ABLATION_TOGGLES), 1,
                             out)
-        # Without init_path or corpus.labels, four of the eight variants train full's run.
+        # Without init_path or corpus.labels, two of the six variants train full's run.
         assert calls == {"train": 4, "corpus_specs": 5}  # one validation per run, one per ablate
         assert sorted(p.name for p in out.iterdir()) == [
             "ablation.csv", "full", "no-balanced", "no-masking", "no-mixup"]
-        assert len(rows) == 8
+        assert len(rows) == 6
         full = json.loads((out / "full" / "seed_0" / "summary.json").read_text())
-        reused = {"no-pretrain-init", "no-labelfix", "no-ensemble", "no-weight-avg"}
-        for row in rows:
-            if row["variant"] in reused:
-                removed = {row["variant"].removeprefix("no-")}
-                assert row["map_mean"] == _headline_for_variant(full, removed)
+        reused = [row for row in rows if row["variant"] in ("no-pretrain-init", "no-labelfix")]
+        assert len(reused) == 2
+        assert all(row["map_mean"] == full["ensemble_map"] for row in reused)
+
+    @pytest.mark.parametrize("toggle", ["ensemble", "weight-avg"])
+    def test_reporting_toggles_are_refused(self, tmp_path, capsys, toggle):
+        # Every row already carries the last-k, weight-average and ensemble means.
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps(tiny_config(tmp_path / "base", epochs=1)))
+        assert main(["ablate", "--config", str(config_file), "--toggles", toggle,
+                     "--seeds", "1", "--out", str(tmp_path / "abl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: toggle {toggle!r} not in (") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_toggle_transforms(self, tmp_path):
         config = tiny_config(tmp_path / "x")
@@ -990,6 +1005,38 @@ class TestBadInputExitCodes:
             self.assert_config_error(argv, capsys)
         for out in ("run2", "enh", "agg"):
             assert not (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("key", ["hidden_dim", "num_heads", "embed_dim"])
+    def test_model_too_big_to_allocate(self, tmp_path, capsys, key):
+        # numpy refuses 2**62-wide tensors before it allocates anything.
+        config = tiny_config(tmp_path / "run", epochs=1)
+        config["model"][key] = 2**62
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps(config))
+        err = self.assert_config_error(["train", "--config", str(config_file)], capsys)
+        assert "do not fit in memory" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_coverage_epochs_too_many_to_allocate(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "c"
+        assert main(["synth", "--classes", "3", "--samples", "12", "--time-frames", "8",
+                     "--freq-bins", "4", "--out", str(corpus_dir)]) == 0
+        capsys.readouterr()
+        self.assert_config_error(["coverage", "--corpus", str(corpus_dir), "--epochs",
+                                  str(2**62), "--out", str(tmp_path / "cov.csv")], capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["c"]
+
+    def test_nul_byte_in_a_path_read_from_a_file(self, tmp_path, capsys):
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps({**tiny_config(tmp_path / "run", epochs=1),
+                                           "output_dir": f"{tmp_path / 'rn'}\0x"}))
+        err = self.assert_config_error(["train", "--config", str(config_file)], capsys)
+        assert "output_dir" in err
+        (tmp_path / "m.txt").write_text(f"{tmp_path / 'rn'}\0x\n")
+        err = self.assert_config_error(["aggregate", "--manifest", str(tmp_path / "m.txt"),
+                                        "--out", str(tmp_path / "agg")], capsys)
+        assert "NUL byte" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "m.txt"]
 
     def test_synthetic_corpus_too_big_to_allocate(self, tmp_path, capsys):
         # numpy refuses these shapes before it allocates anything; a huge class or

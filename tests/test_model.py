@@ -513,12 +513,6 @@ class TestTrain:
             assert a.manifest == b.manifest
             assert a.values.tobytes() == b.values.tobytes()
 
-    def test_headline_is_mean_of_last_k(self):
-        corpus, evalc, mc, ac, tc = tiny_training_setup(epochs=4)
-        result = train(corpus, mc, ac, tc, eval_corpus=evalc)
-        maps = [r.map for r in result.eval_reports]
-        assert result.headline_map(2) == pytest.approx(np.mean(maps[-2:]))
-
 
 THREADED_TRAIN = """
 import sys
