@@ -319,8 +319,7 @@ def run_ablation(config: dict, toggles: list[str], num_seeds: int, out_dir: str 
             rows.append({"variant": name, "map_mean": float(np.mean(ensemble_maps)),
                          "map_sd": float(np.std(ensemble_maps))})
             for column, key in (("last_k_map_mean", "headline_map"),
-                                ("weight_avg_map_mean", "weight_avg_map"),
-                                ("ensemble_map_mean", "ensemble_map")):
+                                ("weight_avg_map_mean", "weight_avg_map")):
                 rows[-1][column] = float(np.mean([summary[key] for summary in summaries]))
         rundir.write_table(partial / "ablation.csv", list(rows[0]),  # full's run made partial
                            [row.values() for row in rows])

@@ -280,7 +280,7 @@ def write_corpus(corpus: MultiLabelCorpus, path: str | Path) -> None:
     (path / "manifest.txt").write_text("\n".join(lines) + "\n")
     write_labels(path / "labels.txt", corpus.ids, corpus.labels, corpus.class_names)
     for sid, x in zip(corpus.ids, corpus.features):
-        x.astype("<f4").tofile(path / "features" / f"{sid}.f32")
+        x.astype("<f4", copy=False).tofile(path / "features" / f"{sid}.f32")
 
 
 def read_manifest(path: str | Path) -> tuple[tuple[int, ...], list[str], int | None]:

@@ -1,8 +1,8 @@
 """Evaluation engine: per-class AP, mAP, ROC-AUC, d-prime, and diagnostics.
 
 Conventions pinned here because they move the numbers:
-- Each class is ranked by one stable descending sort of its scores, so equal
-  scores keep input order. AP and AUC both come from that order.
+- Each class is ranked in descending order, a tied positive after the equal
+  scores before it in input order. AP and AUC both come from that order.
 - AP is non-interpolated (precision summed at each positive's rank).
 - AUC is the rank statistic (P[random positive outscores random negative]),
   ties counting one half.
@@ -15,7 +15,7 @@ Conventions pinned here because they move the numbers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -52,10 +52,10 @@ def _score_classes(predictions: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
     """Per-class AP and AUC of N x C scores; nan where a class is undefined.
 
     Every class's negated scores are sorted by value, in place, as one row of
-    a class-major copy; no permutation is built. Binary search places each
-    positive in its row: without adjacent equal values a row has one order,
-    so a positive sits at the left end of its value. Only a row with ties is
-    sorted again, stably, so that equal scores keep input order.
+    a class-major copy; no permutation is built. Binary search finds the left
+    end lo of each positive's value in its row. A stable descending order puts
+    the positive at lo plus the number of equal scores before it in input
+    order, counted from the class's column only where the next score ties.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
     labels = np.asarray(labels)
@@ -83,21 +83,20 @@ def _score_classes(predictions: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
     npos = np.bincount(cls, minlength=c)
     ends = np.cumsum(npos)
     starts = ends - npos
-    # Each positive's tie group [lo, hi) in its class's ascending row; in a row
-    # without adjacent equal values every group holds one value.
+    # Each positive's tie group [lo, hi) in its class's ascending row.
     lo = np.empty_like(at)
     for k in np.flatnonzero(npos):
         s, e = starts[k], ends[k]
         lo[s:e] = neg[k].searchsorted(hit[s:e], "left")
     hi = lo + 1
     place = lo.copy()  # descending position of each positive
-    tied = (neg[:, 1:] == neg[:, :-1]).any(axis=1)
-    for k in np.flatnonzero(tied & (npos > 0)):
-        s, e = starts[k], ends[k]
-        hi[s:e] = neg[k].searchsorted(hit[s:e], "right")
-        place_of = np.empty(n, dtype=np.intp)
-        place_of[np.argsort(np.negative(predictions[:, k]), kind="stable")] = np.arange(n)
-        place[s:e] = place_of[at[s:e]]
+    tied = (hi < n) & (neg[cls, hi % n] == hit)  # the next score in the row equals it
+    for k in np.unique(cls[tied]):
+        t = starts[k] + np.flatnonzero(tied[starts[k] : ends[k]])
+        hi[t] = neg[k].searchsorted(hit[t], "right")
+        col = np.negative(predictions[:, k])  # contiguous: the column is strided
+        for i in t:
+            place[i] += np.count_nonzero(col[: at[i]] == hit[i])
     place = np.sort(cls * n + place) - cls * n  # ascending within each class
     # Precision at a class's j-th positive is j / (its position + 1).
     precision = (np.arange(cls.size) - starts[cls] + 1) / (place + 1)

@@ -83,7 +83,7 @@ HEAD_BLOCK = 8
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # exp(min(z, 0)) / (1 + exp(-|z|)): exp of a non-positive argument never
     # overflows, and each sign gets its textbook form bit for bit, because
     # exp(min(z, 0)) is exactly 1 for z >= 0 and -|z| is z for z < 0.
@@ -91,7 +91,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     np.negative(d, out=d)
     np.exp(d, out=d)
     d += 1.0
-    e = np.minimum(z, 0.0)
+    e = np.minimum(z, 0.0, out=out)
     np.exp(e, out=e)
     e /= d
     return e
@@ -208,7 +208,8 @@ class Model:
         p = self.params
         if self.config.variant == "linear":
             pooled = x.mean(axis=1)  # (B, F)
-            logits = _row_matmul(pooled, p["w"]) + p["b"]
+            logits = _row_matmul(pooled, p["w"])  # a fresh array
+            logits += p["b"]
             cache = {"pooled": pooled, "logits": logits, "att_norm": None}
         else:
             r1, h1, r2, h = self._encode(x)
@@ -269,7 +270,7 @@ class Model:
         step = max(1, CHUNK_BYTES // (8 * per_clip))
         out = np.empty((len(features), cfg.num_classes))
         for lo in range(0, len(features), step):
-            out[lo : lo + step] = _sigmoid(self._forward_full(features[lo : lo + step])["logits"])
+            _sigmoid(self._forward_full(features[lo : lo + step])["logits"], out=out[lo : lo + step])
         return out
 
     # -- backward --------------------------------------------------------

@@ -347,11 +347,21 @@ def scored_matrices(draw):
     return scores, labels
 
 
-@pytest.mark.parametrize("shape", [(601, 300), (256, 257), (601, 1), (1, 300)])
-def test_evaluate_is_byte_equal_to_per_column_oracle_across_tiles(shape):
+@pytest.mark.parametrize(
+    "shape, ties",
+    [((601, 300), "some"), ((256, 257), "some"), ((601, 1), "some"), ((1, 300), "some"),
+     ((601, 300), "all"), ((2500, 527), "rounded")],
+    ids=["shape0", "shape1", "shape2", "shape3", "all_equal", "rounded_2500x527"],
+)
+def test_evaluate_is_byte_equal_to_per_column_oracle_across_tiles(shape, ties):
     rng = np.random.default_rng(13)
     scores = rng.standard_normal(shape)
-    scores[:, ::3] = np.round(scores[:, ::3], 1)  # tied columns beside tie-free ones
+    if ties == "some":
+        scores[:, ::3] = np.round(scores[:, ::3], 1)  # tied columns beside tie-free ones
+    elif ties == "all":
+        scores[:] = 0.25  # every positive of a class in one tie group
+    else:
+        scores = np.round(rng.random(shape), 2)  # ~25 equal scores per value
     labels = (rng.random(shape) < rng.choice([0.0, 0.05, 0.5, 1.0], shape[1])).astype(np.uint8)
     want_ap, want_auc = per_class_metrics(scores, labels)
     if np.isnan(want_auc).all():
