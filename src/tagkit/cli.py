@@ -88,9 +88,11 @@ def _merge_defaults(raw: dict, source: str) -> dict:
 
 
 def _check_path(value, key: str, source: str) -> None:
-    """A path-valued key must hold a string naming an existing path."""
+    """A path-valued key must hold a non-empty string naming an existing path."""
     if type(value) is not str:
         raise ConfigError(f"{source}: {key} must be a string")
+    if not value:  # Path("") is the working directory, which exists
+        raise ConfigError(f"{source}: {key} must not be empty")
     if not Path(value).exists():
         raise ConfigError(f"{source}: {key} does not exist: {value}")
 
@@ -220,7 +222,7 @@ def run_train(config: dict, run_dir: str | Path | None = None, source: str = "<d
     # ModelError or CorpusError) leaves no run directory.
     corpus, eval_corpus = _build_corpora(specs)
     init_rng, init_report = stream(config["seed"], "init"), None  # train's own default stream
-    if config["init_path"]:
+    if config["init_path"] is not None:
         init_model, loaded, reinit = load_external_init(model_config, config["init_path"], init_rng)
         init_report = {"loaded": loaded, "reinitialized": reinit}
     else:
@@ -490,12 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("coverage", help="simulate sampler coverage on a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mixup-rate", type=float, default=AugmentConfig.mixup_rate)
-    p.add_argument("--plain", action="store_true", help="traversal instead of balanced draws")
+    p = sub.add_parser("coverage", help="unseen fraction per epoch of a config's sampler draws")
+    p.add_argument("--config", required=True, help="a train config, or a run's config.json")
     p.add_argument("--out", required=True)
     return parser
 
@@ -569,21 +567,14 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_coverage(args) -> int:
     with rundir.publish(args.out) as out:
-        corpus = read_corpus(args.corpus)
-        labels = corpus.label_matrix()
-        weights = make_weights(labels)
-        t_frames, f_bins = corpus.feature_shape
-        config = AugmentConfig(
-            freq_mask_max=min(AugmentConfig.freq_mask_max, f_bins),
-            time_mask_max=min(AugmentConfig.time_mask_max, t_frames),
-            mixup_rate=args.mixup_rate,
-            balanced=not args.plain,
-        )
-        trace = simulate_coverage(weights, labels, config, corpus.feature_shape, args.epochs,
-                                  args.seed)
+        config = _merge_defaults(_read_json(args.config), args.config)
+        specs, _, augment_config, train_config = validate_config(config, args.config)
+        corpus = build_corpus(specs[0])
+        trace = simulate_coverage(make_weights(corpus.labels), corpus.labels, augment_config,
+                                  corpus.feature_shape, train_config.epochs, train_config.seed)
         rundir.write_table(out, ["epoch", "unseen_fraction"],
                            enumerate(trace.unseen_fraction, start=1))
-    print(f"unseen after {args.epochs} epochs: {trace.unseen_fraction[-1]:.4f}")
+    print(f"unseen after {train_config.epochs} epochs: {trace.unseen_fraction[-1]:.4f}")
     return 0
 
 

@@ -148,9 +148,11 @@ def simulate_coverage(
     """Track which samples training feeds the model across epochs.
 
     Each epoch replays ``plan_epoch`` on the training stream
-    ``stream_seed(rng_seed, "sampler", epoch)``, so the trace is the run's
-    own draws. A sample counts as seen when drawn as a primary or as a
-    mixup partner; feature_shape is the clip shape the masks are drawn for.
+    ``stream_seed(rng_seed, "sampler", epoch)``, so given a run's training
+    labels, augment config, clip shape, epochs and seed (as ``tagkit coverage
+    --config`` passes them from a train config) the trace is that run's own
+    draws. A sample counts as seen when drawn as a primary or as a mixup
+    partner; feature_shape is the clip shape the masks are drawn for.
     """
     if epochs < 1:
         raise SamplerError("epochs must be >= 1")

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -16,15 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tagkit
+import tagkit.model
 from tagkit.cli import (
     ABLATION_TOGGLES,
     DEFAULT_CONFIG,
     SECTIONS,
     ConfigError,
+    _COMMANDS,
     _merge_defaults,
     _read_json,
     apply_toggle,
     build_corpus,
+    build_parser,
     config_hash,
     corpus_specs,
     main,
@@ -216,6 +220,17 @@ def test_ablate_refuses_a_bad_config_as_train_does(tmp_path, patch):
     assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
 
 
+@pytest.mark.parametrize("patch", [{"bogus": 1}, {"augment": {"time_mask_max": 17}},
+                                   {"train": {"epochs": 0}}, {"model": {"num_heads": 0}}])
+def test_coverage_refuses_a_bad_config_as_train_does(tmp_path, patch):
+    config = tiny_config(tmp_path / "base")
+    for key, value in patch.items():
+        config[key] = {**config[key], **value} if isinstance(value, dict) else value
+    code, err = _config_exit(config, tmp_path, ("coverage",))
+    assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["c.json"]  # no --out, no .partial
+
+
 @pytest.mark.parametrize("ratio", ["nan", "inf"])
 def test_synth_with_a_non_finite_ratio_exits_2_and_writes_nothing(tmp_path, capsys, ratio):
     out = tmp_path / "c"
@@ -246,6 +261,18 @@ def test_path_valued_key_must_be_a_string(tmp_path, key):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key", ["corpus.path", "eval_corpus.path", "corpus.labels",
+                                 "eval_corpus.labels", "init_path"])
+def test_path_valued_key_must_not_be_empty(tmp_path, key):
+    # Path("") is the working directory: an empty init_path used to train from scratch.
+    config = tiny_config(tmp_path / "run")
+    section, _, name = key.rpartition(".")
+    (config[section] if section else config)[name] = ""
+    code, err = _config_exit(config, tmp_path)
+    assert (code, err) == (2, f"config error: {tmp_path / 'c.json'}: {key} must not be empty\n")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("section,key", [("corpus", "lables"), ("eval_corpus", "pth")])
 def test_misspelt_key_in_a_corpus_or_enhance_spec_is_rejected(tmp_path, section, key):
     config = tiny_config(tmp_path / "run")
@@ -263,6 +290,15 @@ def test_labels_override_must_not_repeat_a_sample_id(tmp_path):
     code, err = _config_exit(config, tmp_path)
     assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1
     assert "'s00' is repeated" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_labels_override_must_name_only_corpus_samples(tmp_path):
+    config = tiny_config(tmp_path / "run")
+    (tmp_path / "ov.txt").write_text("s00\tclass000\nghost\tclass002\n")
+    config["corpus"]["labels"] = str(tmp_path / "ov.txt")
+    code, err = _config_exit(config, tmp_path)
+    assert (code, err) == (2, "config error: labels override: unknown sample id 'ghost'\n")
     assert not (tmp_path / "run").exists()
 
 
@@ -358,12 +394,39 @@ class TestCliCommands:
                      "--out", str(corpus_dir)]) == 0
         corpus = read_corpus(corpus_dir)
         assert len(corpus) == 60
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps({
+            "corpus": {"path": str(corpus_dir)}, "model": {"variant": "linear"},
+            "augment": {"freq_mask_max": 2, "time_mask_max": 4}, "train": {"epochs": 3}}))
         out_csv = tmp_path / "coverage.csv"
-        assert main(["coverage", "--corpus", str(corpus_dir), "--epochs", "3",
-                     "--out", str(out_csv)]) == 0
+        assert main(["coverage", "--config", str(config_file), "--out", str(out_csv)]) == 0
         rows = out_csv.read_text().splitlines()
         assert rows[0] == "epoch,unseen_fraction"
         assert len(rows) == 4
+
+    def test_coverage_replays_the_draws_a_run_consumed(self, tmp_path, capsys, monkeypatch):
+        config = tiny_config(tmp_path / "run", epochs=3)
+        corpus = build_corpus(corpus_specs(config)[0])
+        labels = corpus.label_matrix()
+        labels[:, 0] = 1  # a repaired label set, which reweights the balanced draws
+        write_labels(tmp_path / "repaired.txt", corpus.ids, labels, corpus.class_names)
+        config["corpus"]["labels"] = str(tmp_path / "repaired.txt")
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        plans, real = [], tagkit.model.plan_epoch
+        monkeypatch.setattr(tagkit.model, "plan_epoch",
+                            lambda *a, **k: plans.append(real(*a, **k)) or plans[-1])
+        assert main(["train", "--config", str(tmp_path / "c.json")]) == 0
+        monkeypatch.undo()
+        assert main(["coverage", "--config", str(tmp_path / "run" / "config.json"),
+                     "--out", str(tmp_path / "cov.csv")]) == 0
+        seen, unseen = np.zeros(len(corpus), dtype=bool), []
+        for plan in plans:  # a clip is seen once drawn as a primary or a mixed partner
+            seen[plan.primary] = True
+            seen[plan.partner[plan.is_mixup]] = True
+            unseen.append(1.0 - seen.mean())
+        rows = [row.split(",") for row in (tmp_path / "cov.csv").read_text().splitlines()]
+        assert len(plans) == 3 and rows[0] == ["epoch", "unseen_fraction"]
+        assert [(int(e), float(u)) for e, u in rows[1:]] == list(enumerate(unseen, start=1))
 
     def test_train_command_exit_codes(self, tmp_path):
         config_file = tmp_path / "c.json"
@@ -769,8 +832,51 @@ class TestBadInputExitCodes:
         manifest = corpus_dir / "manifest.txt"
         manifest.write_text(manifest.read_text().replace("num_samples 12", "num_samples abc"))
         capsys.readouterr()
-        self.assert_config_error(["coverage", "--corpus", str(corpus_dir),
-                                  "--out", str(tmp_path / "cov.csv")], capsys)
+        # eval reads --corpus before the run, so no run is needed to reach the manifest.
+        err = self.assert_config_error(["eval", "--run", str(tmp_path / "run"),
+                                        "--corpus", str(corpus_dir)], capsys)
+        assert "bad sample count" in err
+
+    def test_eval_warns_once_on_an_edited_config_snapshot(self, tmp_path, capsys):
+        run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
+        config = json.loads((run_dir / "config.json").read_text())
+        (run_dir / "config.json").write_text(json.dumps({**config, "output_dir": "moved"}))
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run_dir)]) == 0
+        assert capsys.readouterr().err == (f"warning: config snapshot in {run_dir} was mutated "
+                                           "after the run; reproduction is not guaranteed\n")
+
+    def test_eval_of_a_run_without_an_eval_corpus_needs_corpus(self, tmp_path, capsys):
+        run_dir = run_train({**tiny_config(tmp_path / "run", epochs=1), "eval_corpus": None})
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run_dir), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == ("config error: no eval corpus: pass --corpus or "
+                                           "configure one in the (first) run\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
+
+    def test_a_corpus_without_time_and_freq_axes_is_refused(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "c"
+        assert main(["synth", "--classes", "4", "--samples", "12", "--time-frames", "16",
+                     "--freq-bins", "8", "--out", str(corpus_dir)]) == 0
+        manifest = corpus_dir / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("feature_shape 16 8",
+                                                         "feature_shape 128"))
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps({**tiny_config(tmp_path / "run", epochs=1),
+                                           "corpus": {"path": str(corpus_dir)}}))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_file)]) == 2
+        assert capsys.readouterr().err == ("config error: the model needs (time, freq) "
+                                           "features, corpus shape is (128,)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "c.json"]
+
+    def test_a_committee_manifest_of_comments_lists_no_runs(self, tmp_path, capsys):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("# teacher runs\n\n   \n# none yet\n")
+        assert main(["aggregate", "--manifest", str(manifest), "--out", str(tmp_path / "agg")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: committee manifest {manifest} lists no runs\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
 
     def test_corrupt_run_config(self, tmp_path, capsys):
         run_dir = run_train(tiny_config(tmp_path / "run", epochs=1))
@@ -895,14 +1001,13 @@ class TestBadInputExitCodes:
         assert not (tmp_path / "abl").exists() and not (tmp_path / "run").exists()
 
     def test_coverage_mixup_rate_out_of_range(self, tmp_path, capsys):
-        corpus_dir = tmp_path / "c"
-        assert main(["synth", "--classes", "3", "--samples", "12", "--time-frames", "8",
-                     "--freq-bins", "4", "--out", str(corpus_dir)]) == 0
-        capsys.readouterr()
-        for bad in (["--mixup-rate", "2"], ["--mixup-rate", "-1"], ["--seed", "-1"]):
-            self.assert_config_error(["coverage", "--corpus", str(corpus_dir), *bad,
+        config, config_file = tiny_config(tmp_path / "run", epochs=1), tmp_path / "c.json"
+        for bad in ({"augment": {**config["augment"], "mixup_rate": 2}},
+                    {"augment": {**config["augment"], "mixup_rate": -1}}, {"seed": -1}):
+            config_file.write_text(json.dumps({**config, **bad}))
+            self.assert_config_error(["coverage", "--config", str(config_file),
                                       "--out", str(tmp_path / "cov.csv")], capsys)
-        assert not (tmp_path / "cov.csv").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_failed_aggregate_leaves_no_output_directory(self, tmp_path, capsys):
         self.assert_config_error(["aggregate", "--manifest", str(tmp_path / "nonexist.txt"),
@@ -1018,13 +1123,14 @@ class TestBadInputExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_coverage_epochs_too_many_to_allocate(self, tmp_path, capsys):
-        corpus_dir = tmp_path / "c"
-        assert main(["synth", "--classes", "3", "--samples", "12", "--time-frames", "8",
-                     "--freq-bins", "4", "--out", str(corpus_dir)]) == 0
-        capsys.readouterr()
-        self.assert_config_error(["coverage", "--corpus", str(corpus_dir), "--epochs",
-                                  str(2**62), "--out", str(tmp_path / "cov.csv")], capsys)
-        assert [p.name for p in tmp_path.iterdir()] == ["c"]
+        config = tiny_config(tmp_path / "run")
+        config["train"]["epochs"] = 2**62
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps(config))
+        err = self.assert_config_error(["coverage", "--config", str(config_file),
+                                        "--out", str(tmp_path / "cov.csv")], capsys)
+        assert "do not fit in memory" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_nul_byte_in_a_path_read_from_a_file(self, tmp_path, capsys):
         config_file = tmp_path / "c.json"
@@ -1106,7 +1212,7 @@ def test_unreadable_input_is_a_config_error(tmp_path, capsys, case):
                      "--freq-bins", "4", "--out", str(tmp_path / "c")]) == 0
         manifest = tmp_path / "c" / "manifest.txt"
         manifest.write_bytes(manifest.read_bytes() + b"class \xff\n")
-        argv = ["coverage", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "cov.csv")]
+        argv = ["eval", "--run", str(tmp_path / "run"), "--corpus", str(tmp_path / "c")]
     elif case == "0xff in --config":
         (tmp_path / "c.json").write_bytes(b'{"seed": 1\xff}')
         argv = ["train", "--config", str(tmp_path / "c.json")]
@@ -1118,6 +1224,22 @@ def test_unreadable_input_is_a_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_readme_command_lines_parse(capsys):
+    # A README example that names a removed or renamed option fails here, not for a reader.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    code = readme.read_text().replace("\\\n", " ").split("```")[1::2]  # continuations joined
+    lines = [shlex.split(line) for block in code for line in block.splitlines()
+             if line.startswith("tagkit ")]
+    stale = []
+    for argv in lines:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            stale.append(shlex.join(argv))
+    assert stale == []
+    assert {argv[1] for argv in lines} == set(_COMMANDS)  # every command has an example
 
 
 def test_train_out_is_the_output_dir_its_config_json_records(tmp_path, capsys):
@@ -1288,7 +1410,7 @@ class TestPublishedOutputs:
             "enhance": ["enhance", "--teacher-run", str(work / "run"),
                         "--ontology", str(work / "onto.txt")],
             "aggregate": ["aggregate", "--manifest", str(work / "solo.txt")],
-            "coverage": ["coverage", "--corpus", str(work / "corpus"), "--epochs", "2"],
+            "coverage": ["coverage", "--config", str(work / "c.json")],
             "ablate": ["ablate", "--config", str(work / "c.json"), "--seeds", "1"],
         }[command] + ["--out", str(out)]
 

@@ -2,9 +2,10 @@
 
 The lifecycle runs ``synth``, ``train`` of an attention teacher, ``eval --out``,
 ``enhance``, ``train`` of a linear student (with ``init_path``, on the teacher's
-repaired labels), ``aggregate``, ``coverage`` and a one-toggle, one-seed ``ablate``
-in an empty working directory with relative paths. The sha256 of every file under
-it, hidden ones included, and the name of every directory must match
+repaired labels), ``aggregate``, ``coverage`` of the teacher's config and a
+one-toggle, one-seed ``ablate`` in an empty working directory with relative paths.
+The sha256 of every file under it, hidden ones included, and the name of every
+directory must match
 ``tests/golden.json``: a refactor leaves that file unchanged, and a change that
 moves bits regenerates it with
 
@@ -59,7 +60,7 @@ COMMANDS = [
     ["train", "--config", "student.json"],
     ["aggregate", "--manifest", "solo.txt", "--out", "agg_solo"],
     ["aggregate", "--manifest", "pair.txt", "--out", "agg_pair"],
-    ["coverage", "--corpus", "train", "--epochs", "3", "--out", "coverage.csv"],
+    ["coverage", "--config", "teacher.json", "--out", "coverage.csv"],
     ["ablate", "--config", "teacher.json", "--toggles", "mixup", "--seeds", "1",
      "--out", "ablation"],
 ]
