@@ -3,7 +3,8 @@
 Weight averaging takes the coordinatewise mean of parameter vectors over a
 late training window (by default from the first epoch where the learning
 rate has dropped to a quarter of its base value). Ensembling averages the
-post-sigmoid prediction matrices of a committee. For the linear model
+post-sigmoid prediction matrices of a committee; ``model.train`` folds its
+checkpoint ensemble the same way, one epoch at a time. For the linear model
 variant, weight averaging coincides exactly with averaging the members'
 pre-sigmoid logits.
 """
@@ -61,7 +62,8 @@ def ensemble_mean(committee: Committee) -> np.ndarray:
 
     For every shape, the first member is copied, the others are added to it in
     order, and the sum is divided by the member count: one running sum, with
-    no stacked copy of the committee.
+    no stacked copy of the committee. ``model.train``'s running sum of its epochs'
+    eval scores is the same fold, so its checkpoint ensemble has these bits.
     """
     members = committee.members
     total = members[0].copy()

@@ -119,7 +119,8 @@ def validate_config(config: dict, source: str = "<dict>") -> tuple:
     else:
         shape, num_classes = specs[0]["synth"].feature_shape, specs[0]["synth"].num_classes
     if len(shape) != 2:
-        raise ConfigError(f"the model needs (time, freq) features, corpus shape is {shape}")
+        raise ConfigError(f"{source}: the model needs (time, freq) features, corpus shape is"
+                          f" {shape}")
     model_config = from_json(ModelConfig, config["model"], "model", source,
                              num_classes=num_classes, time_frames=shape[0], freq_bins=shape[1])
     augment_config = from_json(AugmentConfig, config["augment"], "augment", source)
@@ -145,7 +146,7 @@ def _load_labels_override(corpus: MultiLabelCorpus, labels_path: str) -> MultiLa
     _check_ids(ids)
     for sid, bits in zip(ids, rows):
         if sid not in row_of:
-            raise ConfigError(f"labels override: unknown sample id {sid!r}")
+            raise ConfigError(f"labels override {labels_path}: unknown sample id {sid!r}")
         labels[row_of[sid]] = bits
     return corpus.with_labels(labels)
 
@@ -244,17 +245,14 @@ def run_train(config: dict, run_dir: str | Path | None = None, source: str = "<d
     }
     averaged = None
     if eval_corpus is not None:
-        eval_labels = eval_corpus.label_matrix()
         start = config["weight_avg_start"]
         if start is None:
             start = train_config.schedule.averaging_start_epoch(train_config.epochs)
         start = min(start, train_config.epochs)
         wa_vec = agg.average_weights(result.checkpoints, start)
-        wa_report = evaluate(
-            Model.from_vector(model_config, wa_vec).predict(eval_corpus.features), eval_labels
-        )
-        ens_report = evaluate(agg.ensemble_mean(agg.Committee(result.eval_predictions)),
-                              eval_labels)
+        wa_report = evaluate(Model.from_vector(model_config, wa_vec).predict(eval_corpus.features),
+                             eval_corpus.labels)
+        ens_report = evaluate(result.eval_ensemble, eval_corpus.labels)
         averaged = (wa_vec, wa_report, ens_report)
         summary.update(
             headline_map=float(np.mean(summary["per_epoch_map"][-train_config.report_last_k:])),
@@ -362,7 +360,7 @@ def run_enhance(teacher_run: str | Path, ontology_path: str | Path, policies: li
         onto = read_ontology(ontology_path, corpus.class_names)
 
         splits = [("train", corpus, enhance), ("eval", eval_corpus, enhance_eval_set)]
-        scored = [(split, c, repair, c.label_matrix(), teacher.predict(c.features))
+        scored = [(split, c, repair, c.labels, teacher.predict(c.features))
                   for split, c, repair in splits if c is not None]
         *_, train_labels, train_scores = scored[0]
         out.mkdir()
@@ -407,7 +405,7 @@ def run_aggregate(manifest_path: str | Path, out_dir: str | Path,
 
         eval_corpus = _eval_corpus(eval_corpus_path, run_dirs[0])
         eval_feats = eval_corpus.features
-        eval_labels = eval_corpus.label_matrix()
+        eval_labels = eval_corpus.labels
 
         models = [rundir.load_model(run_dir, eval_corpus.class_names) for run_dir in run_dirs]
         members = [model.predict(eval_feats) for model in models]
@@ -530,7 +528,7 @@ def _cmd_eval(args) -> int:
         run_dir = Path(args.run)
         eval_corpus = _eval_corpus(args.corpus, run_dir)
         model = rundir.load_model(run_dir, eval_corpus.class_names, args.checkpoint)
-        report = evaluate(model.predict(eval_corpus.features), eval_corpus.label_matrix())
+        report = evaluate(model.predict(eval_corpus.features), eval_corpus.labels)
         if out:
             rundir.write_json(out, report.to_dict())
     print(f"mAP {report.map:.4f}  mean AUC {report.mean_auc:.4f}  d' {report.dprime:.3f}")

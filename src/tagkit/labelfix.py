@@ -109,7 +109,7 @@ def enhance(
     """
     if mode not in MODES:
         raise LabelFixError(f"mode must be one of {MODES}, got {mode!r}")
-    labels = np.asarray(labels).astype(np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)  # only read: enhanced is a new array
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape or labels.ndim != 2:
         raise LabelFixError("labels and scores must both be N x C")

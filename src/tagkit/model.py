@@ -499,7 +499,7 @@ class TrainResult:
     checkpoints: list[ParameterVector]
     log_rows: list[dict]  # epoch, iteration, lr, loss, eval_map
     eval_reports: list[EvalReport]
-    eval_predictions: list[np.ndarray]  # per epoch, the (N_eval, C) scores behind eval_reports
+    eval_ensemble: np.ndarray | None  # mean of the epochs' (N_eval, C) eval scores, or None
 
 
 def _assemble_batch(
@@ -552,9 +552,11 @@ def train(
 
     Deterministic for a fixed seed: corpus synthesis, plan drawing, and
     parameter init each use their own named stream of the master seed.
+    The checkpoint ensemble is one running sum of the epochs' eval scores, divided once
+    by the epoch count: ``aggregate.ensemble_mean``'s in-order fold, so the same bits.
     """
     seed = train_config.seed
-    labels = corpus.label_matrix()
+    labels = corpus.labels
     weights = make_weights(labels)
     model = init_model if init_model is not None else Model.init(model_config, stream(seed, "init"))
 
@@ -564,13 +566,10 @@ def train(
     sched = train_config.schedule
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
-    eval_feats = eval_corpus.features if eval_corpus is not None else None
-    eval_labels = eval_corpus.label_matrix() if eval_corpus is not None else None
-
     checkpoints: list[ParameterVector] = []
     log_rows: list[dict] = []
     eval_reports: list[EvalReport] = []
-    eval_predictions: list[np.ndarray] = []
+    ensemble = None
     step = 0
     for epoch in range(1, train_config.epochs + 1):
         plan = plan_epoch(
@@ -601,17 +600,19 @@ def train(
                 {"epoch": epoch, "iteration": step, "lr": lr, "loss": batch_loss}
             )
         checkpoints.append(model.params_vector())
-        if eval_feats is not None:
-            scores = model.predict(eval_feats)
-            report = evaluate(scores, eval_labels)
+        if eval_corpus is not None:
+            scores = model.predict(eval_corpus.features)
+            report = evaluate(scores, eval_corpus.labels)
             eval_reports.append(report)
-            eval_predictions.append(scores)
+            ensemble = scores if epoch == 1 else np.add(ensemble, scores, out=ensemble)
             log_rows[-1] = dict(log_rows[-1], eval_map=report.map)
+    if ensemble is not None:
+        ensemble /= train_config.epochs
     return TrainResult(
         checkpoints=checkpoints,
         log_rows=log_rows,
         eval_reports=eval_reports,
-        eval_predictions=eval_predictions,
+        eval_ensemble=ensemble,
     )
 
 

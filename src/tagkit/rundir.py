@@ -19,7 +19,8 @@ from the run directory alone.
 
 ``publish`` is the only code that makes a command's ``--out``, but for ``train``'s run
 directory: a new path, built as a hidden ``.<name>.partial`` sibling that is renamed onto it
-on success and deleted on failure, or by the next command if this one is killed. ``ablate``
+on success. On failure the sibling is deleted, and so are the parents made for it that are
+still empty; a killed command's sibling is deleted by the next command. ``ablate``
 ``create``s its runs in that sibling; each run's config.json names its published path.
 
 ``from_json`` is the one reader that turns a JSON object into a tagkit
@@ -39,6 +40,7 @@ import os
 import shutil
 from contextlib import contextmanager
 from dataclasses import fields
+from itertools import takewhile
 from pathlib import Path
 
 from .corpus import CorpusError
@@ -91,10 +93,12 @@ def from_json(cls, obj, name: str, source: str, /, **known):
 def publish(out: str | Path):
     """Yield the hidden sibling path at which the block builds ``out``, a file or a
     directory, and rename it onto ``out`` when the block ends. ``out`` must not exist,
-    before or after; if the block raises, the sibling is deleted."""
+    before or after; if the block raises, the sibling is deleted, and so are the parent
+    directories made here, deepest first, up to the first that is not empty."""
     out = Path(out)
     if os.path.lexists(out):
         raise ConfigError(f"{out} already exists; --out must name a new path")
+    made = list(takewhile(lambda p: not os.path.lexists(p), out.parents))  # deepest first
     out.parent.mkdir(parents=True, exist_ok=True)  # the parent, not the output
     partial = out.with_name(f".{out.name}.partial")
     try:
@@ -103,8 +107,14 @@ def publish(out: str | Path):
         if os.path.lexists(out):  # rename would silently replace an empty directory
             raise ConfigError(f"{out} was made while this command ran; its output is dropped")
         partial.rename(out)
-    finally:
+    except BaseException:
         _remove(partial)
+        for parent in made:
+            try:
+                parent.rmdir()
+            except OSError:  # not empty: something else is in it now
+                break
+        raise
 
 
 def _remove(path: Path) -> None:

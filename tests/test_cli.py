@@ -298,7 +298,8 @@ def test_labels_override_must_name_only_corpus_samples(tmp_path):
     (tmp_path / "ov.txt").write_text("s00\tclass000\nghost\tclass002\n")
     config["corpus"]["labels"] = str(tmp_path / "ov.txt")
     code, err = _config_exit(config, tmp_path)
-    assert (code, err) == (2, "config error: labels override: unknown sample id 'ghost'\n")
+    assert (code, err) == (
+        2, f"config error: labels override {tmp_path / 'ov.txt'}: unknown sample id 'ghost'\n")
     assert not (tmp_path / "run").exists()
 
 
@@ -866,8 +867,8 @@ class TestBadInputExitCodes:
                                            "corpus": {"path": str(corpus_dir)}}))
         capsys.readouterr()
         assert main(["train", "--config", str(config_file)]) == 2
-        assert capsys.readouterr().err == ("config error: the model needs (time, freq) "
-                                           "features, corpus shape is (128,)\n")
+        assert capsys.readouterr().err == (f"config error: {config_file}: the model needs (time, "
+                                           "freq) features, corpus shape is (128,)\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "c.json"]
 
     def test_a_committee_manifest_of_comments_lists_no_runs(self, tmp_path, capsys):
@@ -1317,6 +1318,40 @@ def test_class_csv_counts_are_training_class_counts(tmp_path):
         assert [int(r.split(",")[3]) for r in rows[1:]] == counts
 
 
+def test_the_shared_labels_are_never_written(tmp_path, monkeypatch):
+    # Every reader takes corpus.labels in place, so a write would change its caller's corpus.
+    import tagkit.cli as cli
+
+    config, built, real = tiny_config(tmp_path / "run", epochs=2), {}, cli.build_corpus
+
+    def shared(spec):  # each command gets the one corpus object a spec names
+        if spec is None:
+            return None
+        if spec["synth"] not in built:
+            built[spec["synth"]] = real(spec)
+        return built[spec["synth"]]
+
+    monkeypatch.setattr(cli, "build_corpus", shared)
+    specs, model_config, augment_config, train_config = validate_config(config)
+    corpora = [shared(spec) for spec in specs]
+    before = [c.labels.tobytes() for c in corpora]
+    tagkit.model.train(corpora[0], model_config, augment_config, train_config,
+                       eval_corpus=corpora[1])
+    run_dir = run_train(config)
+    write_ontology(Ontology.from_edges(4, [(0, 1), (0, 2), (1, 3)]), tmp_path / "onto.txt",
+                   corpora[0].class_names)
+    (tmp_path / "committee.txt").write_text(f"{run_dir}\n")
+    for argv in (["eval", "--run", str(run_dir)],
+                 ["enhance", "--teacher-run", str(run_dir), "--ontology",
+                  str(tmp_path / "onto.txt"), "--policies", "mean,p5", "--out",
+                  str(tmp_path / "enh")],
+                 ["aggregate", "--manifest", str(tmp_path / "committee.txt"), "--out",
+                  str(tmp_path / "agg")]):
+        assert main(argv) == 0
+    assert len(built) == 2
+    assert [c.labels.tobytes() for c in corpora] == before
+
+
 def test_a_class_with_no_eval_positive_gets_empty_ap_and_auc_cells(tmp_path):
     config = tiny_config(tmp_path / "run", epochs=1)
     evalc = build_corpus(corpus_specs(config)[1])
@@ -1465,6 +1500,34 @@ class TestPublishedOutputs:
         err = self.refused(self.argv(command, work, out), out, capsys)
         assert predicts == []
         assert err == f"config error: {out} already exists; --out must name a new path\n"
+
+    def test_a_refused_command_removes_the_parents_it_made(self, work, capsys):
+        # They used to stay behind, empty, after the command exited 2.
+        (work / "bogus.json").write_text('{"bogus": 1}')
+        capsys.readouterr()
+        argv = ["coverage", "--config", str(work / "bogus.json"),
+                "--out", str(work / "deep" / "er" / "cov.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {work / 'bogus.json'}: unknown config key 'bogus'\n")
+        assert not (work / "deep").exists()
+
+    def test_a_parent_filled_while_the_command_runs_is_kept(self, work, monkeypatch):
+        import tagkit.cli as cli
+
+        def fill_then_fail(*args):
+            (work / "filled" / "note.txt").write_text("not the command's\n")
+            raise SamplerError("planted")
+
+        monkeypatch.setattr(cli, "simulate_coverage", fill_then_fail)
+        out = work / "filled" / "er" / "cov.csv"
+        assert main(self.argv("coverage", work, out)) == 2
+        assert [p.name for p in (work / "filled").iterdir()] == ["note.txt"]
+
+    def test_a_command_that_succeeds_keeps_the_parents_it_made(self, work):
+        out = work / "made" / "er" / "cov.csv"
+        assert main(self.argv("coverage", work, out)) == 0
+        assert out.is_file() and [p.name for p in out.parent.iterdir()] == ["cov.csv"]
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_a_writer_that_fails_midway_leaves_nothing(self, work, error, monkeypatch):

@@ -503,6 +503,41 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="epoch"):
             train(corpus, mc, ac, bad)
 
+    def test_eval_ensemble_is_ensemble_mean_of_the_epochs_scores(self):
+        corpus, evalc, mc, ac, tc = tiny_training_setup(epochs=3)
+        result = train(corpus, mc, ac, tc, eval_corpus=evalc)
+        members = [Model.from_vector(mc, ck).predict(evalc.features) for ck in result.checkpoints]
+        want = tagkit.aggregate.ensemble_mean(tagkit.aggregate.Committee(members))
+        assert result.eval_ensemble.tobytes() == want.tobytes()
+        assert train(corpus, mc, ac, tc).eval_ensemble is None
+
+    def test_traced_peak_does_not_grow_with_the_epoch_count(self):
+        # Held per epoch, the (N_eval, C) scores grew the peak by one matrix an epoch.
+        classes, n_eval, shape = 527, 2000, (2, 8)
+        rng = np.random.default_rng(47)
+
+        def corpus(n):
+            labels = np.zeros((n, classes), np.uint8)
+            labels[np.arange(n), np.arange(n) % classes] = 1
+            return MultiLabelCorpus([f"s{i}" for i in range(n)],
+                                    rng.standard_normal((n, *shape)).astype(np.float32),
+                                    labels, [f"c{k}" for k in range(classes)])
+
+        train_set, eval_set = corpus(classes), corpus(n_eval)
+        mc = ModelConfig(num_classes=classes, time_frames=shape[0], freq_bins=shape[1],
+                         variant="linear")
+        ac = AugmentConfig(freq_mask_max=2, time_mask_max=1, mixup_rate=0.5)
+        peaks = {}
+        for epochs in (2, 6):
+            tc = TrainConfig(epochs=epochs, batch_size=264, seed=3)
+            tracemalloc.start()
+            try:
+                train(train_set, mc, ac, tc, eval_corpus=eval_set)
+                peaks[epochs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6] - peaks[2] < 8 * n_eval * classes
+
     @pytest.mark.parametrize("variant", ["attention", "linear"])
     def test_checkpoints_match_per_tensor_adam_oracle(self, variant):
         corpus, _, mc, ac, tc = tiny_training_setup(seed=7, epochs=2, variant=variant)
