@@ -61,15 +61,6 @@ DEFAULT_CONFIG = {
 }
 
 
-def _read_json(path: str | Path) -> object:
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
-
-
 def _merge_defaults(raw: dict, source: str) -> dict:
     """``raw`` over DEFAULT_CONFIG, unknown top-level keys refused; not yet validated."""
     if not isinstance(raw, dict):
@@ -124,7 +115,10 @@ def validate_config(config: dict, source: str = "<dict>") -> tuple:
     model_config = from_json(ModelConfig, config["model"], "model", source,
                              num_classes=num_classes, time_frames=shape[0], freq_bins=shape[1])
     augment_config = from_json(AugmentConfig, config["augment"], "augment", source)
-    augment_config.validate(shape)
+    try:
+        augment_config.validate(shape)
+    except SamplerError as err:
+        raise SamplerError(f"{source}: augment: {err}") from None
     t, owned = config["train"], {f.name for f in fields(LRSchedule)}
     schedule = from_json(LRSchedule, {k: v for k, v in t.items() if k in owned}, "train", source)
     train_config = from_json(TrainConfig, {k: v for k, v in t.items() if k not in owned}, "train",
@@ -222,12 +216,10 @@ def run_train(config: dict, run_dir: str | Path | None = None, source: str = "<d
     # The corpora and the model are built first, so one that cannot be allocated (a
     # ModelError or CorpusError) leaves no run directory.
     corpus, eval_corpus = _build_corpora(specs)
-    init_rng, init_report = stream(config["seed"], "init"), None  # train's own default stream
+    init_model, init_report = Model.init(model_config, stream(train_config.seed, "init")), None
     if config["init_path"] is not None:
-        init_model, loaded, reinit = load_external_init(model_config, config["init_path"], init_rng)
+        loaded, reinit = load_external_init(init_model, config["init_path"])
         init_report = {"loaded": loaded, "reinitialized": reinit}
-    else:
-        init_model = Model.init(model_config, init_rng)
     rundir.create(run_dir, config, init_report)
 
     result = train(
@@ -329,9 +321,7 @@ def run_ablation(config: dict, toggles: list[str], num_seeds: int, out_dir: str 
 def _load_run(run_dir: Path) -> tuple[dict, dict | None]:
     """A finished run's corpus specs (``corpus_specs``); the rest of its config is not checked."""
     config_file, summary = rundir.read(run_dir)
-    config = _read_json(config_file)
-    if not isinstance(config, dict):
-        raise ConfigError(f"{config_file}: a config must be a JSON object")
+    config = rundir.read_json(config_file)
     specs = corpus_specs(config, str(config_file))
     if summary.get("config_hash") not in (None, config_hash(config)):
         print(f"warning: config snapshot in {run_dir} was mutated after the run; "
@@ -514,7 +504,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _merge_defaults(_read_json(args.config), args.config)
+    config = _merge_defaults(rundir.read_json(args.config), args.config)
     if args.out is not None and type(config["output_dir"]) is str:  # validation refuses others
         config["output_dir"] = args.out  # so config.json names where the run is
     run_dir = run_train(config, source=args.config)
@@ -555,7 +545,7 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    config = _merge_defaults(_read_json(args.config), args.config)
+    config = _merge_defaults(rundir.read_json(args.config), args.config)
     toggles = [t.strip() for t in args.toggles.split(",") if t.strip()]
     rows = run_ablation(config, toggles, args.seeds, args.out, source=args.config)
     for row in rows:
@@ -565,7 +555,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_coverage(args) -> int:
     with rundir.publish(args.out) as out:
-        config = _merge_defaults(_read_json(args.config), args.config)
+        config = _merge_defaults(rundir.read_json(args.config), args.config)
         specs, _, augment_config, train_config = validate_config(config, args.config)
         corpus = build_corpus(specs[0])
         trace = simulate_coverage(make_weights(corpus.labels), corpus.labels, augment_config,

@@ -408,20 +408,13 @@ class ParameterVector:
         return cls(values=payload.astype(np.float64), manifest=tuple(manifest))
 
 
-def load_external_init(
-    config: ModelConfig, path: str | Path, rng: np.random.Generator
-) -> tuple[Model, list[str], list[str]]:
-    """Initialize a model from an externally produced parameter file.
-
-    Tensors whose name and shape match the config are loaded; the rest
-    (e.g. a classifier head sized for different classes, or a first layer
-    with different input width) are freshly initialized. Returns the model
-    plus the lists of loaded and re-initialized tensor names; raises if
-    nothing overlaps.
-    """
+def load_external_init(model: Model, path: str | Path) -> tuple[list[str], list[str]]:
+    """Load into ``model`` each tensor of an externally produced parameter file that matches
+    one of its own by name and shape. The rest (e.g. a classifier head sized for different
+    classes) keep ``model``'s values, its fresh initialization in ``run_train``. Returns
+    the loaded and the re-initialized (kept) tensor names; raises if nothing overlaps."""
     vec = ParameterVector.load(path)
     external = vec.views(vec.values)
-    model = Model.init(config, rng)
     loaded, reinit = [], []
     for name, view in model.params.items():
         if name in external and external[name].shape == view.shape:
@@ -431,7 +424,7 @@ def load_external_init(
             reinit.append(name)
     if not loaded:
         raise InitMismatchError(f"no compatible tensors in {path}")
-    return model, loaded, reinit
+    return loaded, reinit
 
 
 # -- schedules and training -----------------------------------------------

@@ -23,8 +23,9 @@ on success. On failure the sibling is deleted, and so are the parents made for i
 still empty; a killed command's sibling is deleted by the next command. ``ablate``
 ``create``s its runs in that sibling; each run's config.json names its published path.
 
-``from_json`` is the one reader that turns a JSON object into a tagkit
-dataclass, for a config's sections and synth specs and for summary.json.
+``read_json`` is the only code that parses a JSON file: a config, a run's config.json
+and its summary.json. ``from_json`` is the one reader that turns a JSON object into a
+tagkit dataclass, for a config's sections and synth specs and for summary.json.
 
 ``write_table`` and ``write_json`` write every CSV and JSON report a command makes, a run's
 and every ``--out``'s: a float cell is its exact ``repr``, a NaN cell is empty, and
@@ -38,6 +39,7 @@ import json
 import math
 import os
 import shutil
+import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from itertools import takewhile
@@ -59,11 +61,26 @@ _JSON_TYPES = {
     "bool": (lambda v: type(v) is bool, "true or false"),
     "int": (lambda v: type(v) is int, "an integer"),
     "int | None": (lambda v: v is None or type(v) is int, "an integer or null"),
-    "float": (lambda v: type(v) in (int, float), "a number"),
+    "float": (lambda v: type(v) is float or type(v) is int and abs(v) <= sys.float_info.max,
+              "a number in float64's range"),
     "str": (lambda v: type(v) is str, "a string"),
     "tuple[int, int]": (lambda v: type(v) is list and len(v) == 2
                         and all(type(x) is int for x in v), "a list of two integers"),
 }
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object in the file at ``path``. A missing file, invalid JSON (named by its
+    line) and a top level that is not an object are refused."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object")
+    return obj
 
 
 def from_json(cls, obj, name: str, source: str, /, **known):
@@ -185,13 +202,7 @@ def read(run_dir: Path) -> tuple[Path, dict]:
     summary_file = run_dir / "summary.json"
     if not summary_file.is_file():
         raise ConfigError(f"not a finished run (no summary.json): {run_dir}")
-    try:
-        summary = json.loads(summary_file.read_text())
-    except json.JSONDecodeError:
-        summary = None
-    if not isinstance(summary, dict):
-        raise ConfigError(f"corrupt run summary: {summary_file}")
-    return run_dir / "config.json", summary
+    return run_dir / "config.json", read_json(summary_file)
 
 
 def checkpoints(run_dir: Path) -> dict[str, Path]:

@@ -3,11 +3,13 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shlex
 import signal
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,8 +26,8 @@ from tagkit.cli import (
     SECTIONS,
     ConfigError,
     _COMMANDS,
+    _CONFIG_ERRORS,
     _merge_defaults,
-    _read_json,
     apply_toggle,
     build_corpus,
     build_parser,
@@ -38,10 +40,10 @@ from tagkit.cli import (
     run_train,
     validate_config,
 )
-from tagkit.corpus import read_corpus, write_labels
+from tagkit.corpus import SynthSpec, read_corpus, write_labels
 from tagkit.aggregate import SweepPoint, sweep_start_epoch
 from tagkit.rundir import load_checkpoint as _teacher_checkpoint
-from tagkit.rundir import finish, load_epochs, load_model, write_json, write_table
+from tagkit.rundir import finish, load_epochs, load_model, read_json, write_json, write_table
 from tagkit.metrics import evaluate
 from tagkit.model import DivergenceError, Model, ParameterVector
 from tagkit.sampler import SamplerError
@@ -100,7 +102,7 @@ class TestConfig:
         bad = tmp_path / "c.json"
         bad.write_text('{"seed": }')
         with pytest.raises(ConfigError, match=f"{bad}: invalid JSON at line 1"):
-            _read_json(bad)
+            read_json(bad)
 
     def test_default_config_hash_is_pinned(self):
         config = _merge_defaults({"seed": 1, "corpus": {"synth": {"num_classes": 2,
@@ -239,6 +241,67 @@ def test_synth_with_a_non_finite_ratio_exits_2_and_writes_nothing(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and "imbalance_ratio" in err
     assert list(tmp_path.iterdir()) == []
+
+
+FLOAT_KEYS = ([(name, f.name) for name, section in SECTIONS.items() for f in section
+               if f.type == "float"]
+              + [("corpus.synth", f.name) for f in fields(SynthSpec) if f.type == "float"])
+
+
+def _override(config: dict, name: str, key: str, value) -> dict:
+    """``config`` with ``name.key`` set to ``value``; ``name`` is a section or corpus.synth."""
+    (config["corpus"]["synth"] if name == "corpus.synth" else config[name])[key] = value
+    return config
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name,key", FLOAT_KEYS)
+def test_a_float_key_refuses_an_integer_too_large_for_a_float(tmp_path, name, key, sign):
+    assert len(FLOAT_KEYS) == 8
+    config = _override(tiny_config(tmp_path / "run"), name, key, sign * 10**400)
+    code, err = _config_exit(config, tmp_path)
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith(f"config error: {tmp_path / 'c.json'}: {name}.{key} must be a number")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "coverage"])
+@pytest.mark.parametrize("patch,message", [
+    ({"freq_mask_max": 9}, "freq_mask_max must be in [0, 8]"),
+    ({"time_mask_max": 17}, "time_mask_max must be in [0, 16]"),
+    ({"mixup_rate": 1.5}, "mixup_rate must be in [0, 1]"),
+    ({"mixup_alpha": 0}, "mixup_alpha must be finite and > 0"),
+    ({"mask_value": float("nan")}, "mask_value must be finite"),
+])
+def test_an_augment_range_error_names_its_config(tmp_path, command, patch, message):
+    config = tiny_config(tmp_path / "run")
+    config["augment"] = {**config["augment"], **patch}
+    code, err = _config_exit(config, tmp_path, (command,))
+    assert (code, err) == (2, f"config error: {tmp_path / 'c.json'}: augment: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+CONFIG_KEYS = SECTION_KEYS + [("corpus.synth", f.name) for f in fields(SynthSpec)]
+CONFIG_VALUES = st.one_of(
+    st.sampled_from([10**400, -10**400, 2**63, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+    st.sampled_from([True, False, None, -1, 0, "", "2", [], [16, 8], [2.0, 2]]),
+    st.integers(), st.floats(), st.text(max_size=4), st.lists(st.integers(-3, 300), max_size=3),
+)
+
+
+@given(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_a_config_value_is_refused_or_read_as_finite_floats(where, value):
+    """Only config errors escape validation, and an accepted config's floats are finite."""
+    config = _override(tiny_config("run"), *where, value)
+    try:
+        specs, _, augment, train_config = validate_config(_merge_defaults(config, "c"), "c")
+    except _CONFIG_ERRORS:
+        return
+    for obj in (specs[0]["synth"], specs[1]["synth"], augment, train_config.schedule):
+        for f in fields(obj):
+            if f.type == "float":
+                assert math.isfinite(float(getattr(obj, f.name))), (f.name, value)
 
 
 def test_output_dir_must_be_a_string(tmp_path):

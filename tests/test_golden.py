@@ -12,8 +12,12 @@ moves bits regenerates it with
     PYTHONPATH=src python tests/test_golden.py --write
 
 and says which outputs moved. Float64 rounding depends on numpy, its BLAS and the
-SIMD extensions numpy found on the CPU, so the file records them and the test skips
-on any other fingerprint.
+SIMD extensions numpy found on the CPU, so the file lists the fingerprints its
+digests were verified on, and the test skips on any other. On a new fingerprint,
+
+    PYTHONPATH=src python tests/test_golden.py --add-fingerprint
+
+runs the lifecycle and appends the fingerprint only if every digest is reproduced.
 """
 
 import contextlib
@@ -92,20 +96,27 @@ def run_lifecycle() -> dict[str, str]:
 
 def test_cli_lifecycle_matches_golden_digests(tmp_path, monkeypatch):
     golden, here = json.loads(GOLDEN.read_text()), fingerprint()
-    moved = {key: (golden["fingerprint"].get(key), here[key]) for key in here
-             if golden["fingerprint"].get(key) != here[key]}
-    if moved:
-        pytest.skip(f"golden digests were recorded on another fingerprint; (recorded, here): {moved}")
+    if here not in golden["fingerprints"]:
+        pytest.skip(f"golden digests were verified on {golden['fingerprints']}, not on {here}")
     monkeypatch.chdir(tmp_path)
     assert run_lifecycle() == golden["paths"]
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write")
+    mode = sys.argv[1:]
+    if mode not in (["--write"], ["--add-fingerprint"]):
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write | --add-fingerprint")
+    golden, here = json.loads(GOLDEN.read_text()), fingerprint()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         paths = run_lifecycle()
-    GOLDEN.write_text(json.dumps({"fingerprint": fingerprint(), "paths": paths},
-                                 indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(paths)} digests to {GOLDEN}")
+    if mode == ["--write"]:
+        golden = {"fingerprints": [here], "paths": paths}
+    elif paths != golden["paths"]:
+        moved = sorted(k for k in paths.keys() | golden["paths"].keys()
+                       if paths.get(k) != golden["paths"].get(k))
+        sys.exit(f"{len(moved)} paths differ here, so {here} is not added: {moved}")
+    elif here not in golden["fingerprints"]:
+        golden["fingerprints"].append(here)
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"{GOLDEN}: {len(paths)} digests, verified on {len(golden['fingerprints'])} fingerprints")

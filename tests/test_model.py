@@ -733,8 +733,8 @@ class TestLoadExternalInit:
     def test_own_save_loads_identically(self, tmp_path):
         model = Model.init(SMALL_ATT, stream(15, "init"))
         model.params_vector().save(tmp_path / "m.ckpt")
-        loaded, names, reinit = load_external_init(SMALL_ATT, tmp_path / "m.ckpt",
-                                                   stream(16, "init"))
+        loaded = Model.init(SMALL_ATT, stream(16, "init"))
+        names, reinit = load_external_init(loaded, tmp_path / "m.ckpt")
         assert reinit == []
         for name in model.params:
             assert np.array_equal(loaded.params[name], model.params[name])
@@ -745,8 +745,8 @@ class TestLoadExternalInit:
                                 num_heads=2, embed_dim=8, hidden_dim=6, time_strides=(2, 2))
         donor = Model.init(donor_cfg, stream(17, "init"))
         donor.params_vector().save(tmp_path / "donor.ckpt")
-        loaded, names, reinit = load_external_init(SMALL_ATT, tmp_path / "donor.ckpt",
-                                                   stream(18, "init"))
+        loaded = Model.init(SMALL_ATT, stream(18, "init"))
+        names, reinit = load_external_init(loaded, tmp_path / "donor.ckpt")
         assert "enc1_w" in names and "enc2_w" in names
         assert {"att_w", "att_b", "cls_w", "cls_b"} <= set(reinit)
         assert np.array_equal(loaded.params["enc1_w"], donor.params["enc1_w"])
@@ -755,7 +755,7 @@ class TestLoadExternalInit:
         lin = Model.init(SMALL_LIN, stream(19, "init"))
         lin.params_vector().save(tmp_path / "lin.ckpt")
         with pytest.raises(InitMismatchError):
-            load_external_init(SMALL_ATT, tmp_path / "lin.ckpt", stream(20, "init"))
+            load_external_init(Model.init(SMALL_ATT, stream(20, "init")), tmp_path / "lin.ckpt")
 
 
 class TestModelConfig:
