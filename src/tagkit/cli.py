@@ -35,6 +35,7 @@ from .rundir import ConfigError, from_json
 from .sampler import AugmentConfig, SamplerError, make_weights, simulate_coverage
 
 ABLATION_TOGGLES = ("pretrain-init", "balanced", "masking", "mixup", "labelfix")
+HEADLINE_EPOCHS = 5  # summary.json's headline_map is the mean of the last five epochs' mAP
 
 
 # -- config ----------------------------------------------------------------
@@ -46,7 +47,7 @@ SECTIONS = {
               if f.name in ("variant", "num_heads", "embed_dim", "hidden_dim", "time_strides")],
     "augment": list(fields(AugmentConfig)),
     "train": [f for f in fields(TrainConfig)
-              if f.name in ("epochs", "batch_size", "report_last_k")] + list(fields(LRSchedule)),
+              if f.name in ("epochs", "batch_size")] + list(fields(LRSchedule)),
 }
 
 DEFAULT_CONFIG = {
@@ -57,7 +58,6 @@ DEFAULT_CONFIG = {
     **{name: {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
               for f in section} for name, section in SECTIONS.items()},
     "init_path": None,
-    "weight_avg_start": None,  # null = first epoch with lr <= base/4
 }
 
 
@@ -100,9 +100,6 @@ def validate_config(config: dict, source: str = "<dict>") -> tuple:
         _check_path(config["init_path"], "init_path", source)
     if type(config["output_dir"]) is not str or "\0" in config["output_dir"]:
         raise ConfigError(f"{source}: output_dir must be a string without a NUL byte")
-    start = config["weight_avg_start"]
-    if start is not None and (type(start) is not int or start < 1):
-        raise ConfigError(f"{source}: weight_avg_start must be null or an integer >= 1")
     # The model's shape comes from the training corpus's header (manifest or synth spec).
     if "path" in specs[0]:
         shape, names, _ = read_manifest(specs[0]["path"])
@@ -180,20 +177,29 @@ def corpus_specs(config: dict, source: str = "<dict>") -> tuple[dict, dict | Non
     return specs[0], specs[1]
 
 
-def build_corpus(spec: dict | None) -> MultiLabelCorpus | None:
-    """The corpus a spec from ``corpus_specs`` names, or None for no spec."""
+def build_corpus(spec: dict | None, name: str = "corpus",
+                 source: str = "<dict>") -> MultiLabelCorpus | None:
+    """The corpus a spec from ``corpus_specs`` names, or None for no spec; a synthetic one
+    that cannot be made is refused naming ``source`` and the spec's key ``name``."""
     if spec is None:
         return None
-    corpus = read_corpus(spec["path"]) if "path" in spec else generate_synthetic(spec["synth"])
+    if "path" in spec:
+        corpus = read_corpus(spec["path"])
+    else:
+        try:
+            corpus = generate_synthetic(spec["synth"])
+        except CorpusError as err:
+            raise CorpusError(f"{source}: {name}.synth: {err}") from None
     return _load_labels_override(corpus, spec["labels"]) if "labels" in spec else corpus
 
 
-def _build_corpora(specs) -> tuple[MultiLabelCorpus, MultiLabelCorpus | None]:
-    """The train and eval corpora of ``corpus_specs``' specs.
+def _build_corpora(specs, source: str) -> tuple[MultiLabelCorpus, MultiLabelCorpus | None]:
+    """The train and eval corpora of the specs ``corpus_specs`` read from ``source``.
 
     An eval corpus must share the training corpus's class table and clip shape: the
     model scores the classes it was trained on, in that order, on clips of one shape."""
-    corpus, eval_corpus = map(build_corpus, specs)
+    corpus, eval_corpus = (build_corpus(spec, name, source)
+                           for spec, name in zip(specs, ("corpus", "eval_corpus")))
     if eval_corpus is not None:
         if eval_corpus.class_names != corpus.class_names:
             raise ConfigError(f"the eval corpus's {eval_corpus.num_classes} classes are not the"
@@ -215,8 +221,12 @@ def run_train(config: dict, run_dir: str | Path | None = None, source: str = "<d
     run_dir = Path(run_dir if run_dir is not None else config["output_dir"])
     # The corpora and the model are built first, so one that cannot be allocated (a
     # ModelError or CorpusError) leaves no run directory.
-    corpus, eval_corpus = _build_corpora(specs)
-    init_model, init_report = Model.init(model_config, stream(train_config.seed, "init")), None
+    corpus, eval_corpus = _build_corpora(specs, source)
+    try:
+        init_model = Model.init(model_config, stream(train_config.seed, "init"))
+    except ModelError as err:
+        raise ModelError(f"{source}: model: {err}") from None
+    init_report = None
     if config["init_path"] is not None:
         loaded, reinit = load_external_init(init_model, config["init_path"])
         init_report = {"loaded": loaded, "reinitialized": reinit}
@@ -237,17 +247,14 @@ def run_train(config: dict, run_dir: str | Path | None = None, source: str = "<d
     }
     averaged = None
     if eval_corpus is not None:
-        start = config["weight_avg_start"]
-        if start is None:
-            start = train_config.schedule.averaging_start_epoch(train_config.epochs)
-        start = min(start, train_config.epochs)
+        start = train_config.schedule.averaging_start_epoch(train_config.epochs)
         wa_vec = agg.average_weights(result.checkpoints, start)
         wa_report = evaluate(Model.from_vector(model_config, wa_vec).predict(eval_corpus.features),
                              eval_corpus.labels)
         ens_report = evaluate(result.eval_ensemble, eval_corpus.labels)
         averaged = (wa_vec, wa_report, ens_report)
         summary.update(
-            headline_map=float(np.mean(summary["per_epoch_map"][-train_config.report_last_k:])),
+            headline_map=float(np.mean(summary["per_epoch_map"][-HEADLINE_EPOCHS:])),
             weight_avg_start=start,
             weight_avg_map=wa_report.map,
             ensemble_map=ens_report.map,
@@ -318,20 +325,25 @@ def run_ablation(config: dict, toggles: list[str], num_seeds: int, out_dir: str 
     return rows
 
 
-def _load_run(run_dir: Path) -> tuple[dict, dict | None]:
-    """A finished run's corpus specs (``corpus_specs``); the rest of its config is not checked."""
+def _load_run(run_dir: Path) -> tuple[tuple[dict, dict | None], str]:
+    """A finished run's corpus specs (``corpus_specs``) and the config file they come from;
+    the rest of its config is not checked."""
     config_file, summary = rundir.read(run_dir)
     config = rundir.read_json(config_file)
     specs = corpus_specs(config, str(config_file))
     if summary.get("config_hash") not in (None, config_hash(config)):
         print(f"warning: config snapshot in {run_dir} was mutated after the run; "
               "reproduction is not guaranteed", file=sys.stderr)
-    return specs
+    return specs, str(config_file)
 
 
 def _eval_corpus(path: str | Path | None, run_dir: Path) -> MultiLabelCorpus:
     """The corpus at path, else the eval corpus the run was configured with."""
-    corpus = read_corpus(path) if path is not None else build_corpus(_load_run(run_dir)[1])
+    if path is not None:
+        corpus = read_corpus(path)
+    else:
+        (_, spec), source = _load_run(run_dir)
+        corpus = build_corpus(spec, "eval_corpus", source)
     if corpus is None:
         raise ConfigError("no eval corpus: pass --corpus or configure one in the (first) run")
     return corpus
@@ -345,7 +357,7 @@ def run_enhance(teacher_run: str | Path, ontology_path: str | Path, policies: li
         raise ConfigError(f"enhance needs threshold policies from {POLICIES}, got {policies}")
     with rundir.publish(out_dir) as out:
         teacher_run = Path(teacher_run)
-        corpus, eval_corpus = _build_corpora(_load_run(teacher_run))
+        corpus, eval_corpus = _build_corpora(*_load_run(teacher_run))
         teacher = rundir.load_model(teacher_run, corpus.class_names)
         onto = read_ontology(ontology_path, corpus.class_names)
 
@@ -434,7 +446,6 @@ def _add_synth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--ratio", type=float, default=SynthSpec.imbalance_ratio)
-    p.add_argument("--cooccurrence", type=float, default=SynthSpec.cooccurrence)
     p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--time-frames", type=int, default=SynthSpec.feature_shape[0])
     p.add_argument("--freq-bins", type=int, default=SynthSpec.feature_shape[1])
@@ -491,7 +502,6 @@ def _cmd_synth(args) -> int:
         num_classes=args.classes,
         num_samples=args.samples,
         imbalance_ratio=args.ratio,
-        cooccurrence=args.cooccurrence,
         seed=args.seed,
         feature_shape=(args.time_frames, args.freq_bins),
         planted_signal_strength=args.signal_strength,
@@ -557,7 +567,7 @@ def _cmd_coverage(args) -> int:
     with rundir.publish(args.out) as out:
         config = _merge_defaults(rundir.read_json(args.config), args.config)
         specs, _, augment_config, train_config = validate_config(config, args.config)
-        corpus = build_corpus(specs[0])
+        corpus = build_corpus(specs[0], "corpus", args.config)
         trace = simulate_coverage(make_weights(corpus.labels), corpus.labels, augment_config,
                                   corpus.feature_shape, train_config.epochs, train_config.seed)
         rundir.write_table(out, ["epoch", "unseen_fraction"],

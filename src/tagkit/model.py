@@ -435,14 +435,13 @@ class LRSchedule:
     """Linear warmup over the first iterations, then halving every few epochs.
 
     decay_start_epoch is 35 for balanced-regime runs and 10 for full-regime
-    runs; after it, the rate is cut by decay_factor every decay_period epochs.
+    runs; after it, the rate is halved every decay_period epochs.
     """
 
     base_lr: float = 1e-3
     warmup_iters: int = 1000
     decay_start_epoch: int = 35
     decay_period: int = 5
-    decay_factor: float = 0.5
 
     def __post_init__(self):
         if not 0 < self.base_lr < math.inf:
@@ -451,8 +450,6 @@ class LRSchedule:
             raise ModelError("warmup_iters must be >= 0")
         if self.decay_period < 1:
             raise ModelError("decay_period must be >= 1")
-        if not 0 < self.decay_factor <= 1:
-            raise ModelError("decay_factor must be in (0, 1]")
 
     def lr(self, iteration: int, epoch: int) -> float:
         """Learning rate at a 1-based global iteration within a 1-based epoch."""
@@ -460,7 +457,7 @@ class LRSchedule:
         steps = 0
         if epoch > self.decay_start_epoch:
             steps = math.ceil((epoch - self.decay_start_epoch) / self.decay_period)
-        return self.base_lr * warm * self.decay_factor**steps
+        return self.base_lr * warm * 0.5**steps
 
     def averaging_start_epoch(self, epochs: int) -> int:
         """First epoch whose rate is at most a quarter of the base rate."""
@@ -476,15 +473,12 @@ class TrainConfig:
     batch_size: int = 100
     schedule: LRSchedule = field(default_factory=LRSchedule)
     seed: int = 0
-    report_last_k: int = 5
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ModelError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ModelError("batch_size must be >= 1")
-        if self.report_last_k < 1:
-            raise ModelError("report_last_k must be >= 1")
 
 
 @dataclass
@@ -495,14 +489,8 @@ class TrainResult:
     eval_ensemble: np.ndarray | None  # mean of the epochs' (N_eval, C) eval scores, or None
 
 
-def _assemble_batch(
-    corpus: MultiLabelCorpus,
-    labels: np.ndarray,
-    plan,
-    index: np.ndarray,
-    mask_value: float,
-):
-    """Features and soft labels of plan draws ``index``: mixup, then time/frequency masks.
+def _assemble_batch(corpus: MultiLabelCorpus, labels: np.ndarray, plan, index: np.ndarray):
+    """Features and soft labels of plan draws ``index``: mixup, then zero-filled masks.
 
     Bit-identical to mixing and masking each draw on its own: each draw fills
     its own row with plain slices, in that operation order. plan_epoch
@@ -528,8 +516,8 @@ def _assemble_batch(
             buf[...] = features[j]
             buf *= 1.0 - lam_i
             row += buf
-        row[t0 : t0 + tl] = mask_value
-        row[:, f0 : f0 + fl] = mask_value
+        row[t0 : t0 + tl] = 0.0
+        row[:, f0 : f0 + fl] = 0.0
     return x, y
 
 
@@ -570,7 +558,7 @@ def train(
         )
         for lo in range(0, len(plan), train_config.batch_size):
             index = np.arange(lo, min(lo + train_config.batch_size, len(plan)))
-            x, y = _assemble_batch(corpus, labels, plan, index, augment_config.mask_value)
+            x, y = _assemble_batch(corpus, labels, plan, index)
             step += 1
             lr = sched.lr(step, epoch)
             try:

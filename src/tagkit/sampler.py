@@ -30,6 +30,7 @@ class AugmentConfig:
     mixup_rate is the probability a draw is a mixed pair; mixup_alpha is
     the Beta concentration for the mixing coefficient; balanced switches
     between weighted multinomial draws and plain reshuffled traversal.
+    Masked bins are filled with zeros.
     """
 
     freq_mask_max: int = 48
@@ -37,7 +38,6 @@ class AugmentConfig:
     mixup_rate: float = 0.5
     mixup_alpha: float = 10.0
     balanced: bool = True
-    mask_value: float = 0.0
 
     def validate(self, feature_shape: tuple[int, int]) -> None:
         t_frames, f_bins = feature_shape
@@ -49,8 +49,6 @@ class AugmentConfig:
             raise SamplerError("mixup_rate must be in [0, 1]")
         if not 0 < self.mixup_alpha < math.inf:
             raise SamplerError("mixup_alpha must be finite and > 0")
-        if not math.isfinite(self.mask_value):
-            raise SamplerError("mask_value must be finite")
 
 
 def make_weights(labels: np.ndarray) -> np.ndarray:

@@ -229,7 +229,7 @@ def per_tensor_adam_checkpoints(
         )
         for lo in range(0, len(plan), train_config.batch_size):
             index = np.arange(lo, min(lo + train_config.batch_size, len(plan)))
-            x, y = _assemble_batch(corpus, labels, plan, index, augment_config.mask_value)
+            x, y = _assemble_batch(corpus, labels, plan, index)
             step += 1
             lr = train_config.schedule.lr(step, epoch)
             _, grad = model.loss_and_grads(x, y)

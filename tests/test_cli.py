@@ -109,7 +109,7 @@ class TestConfig:
                                                                    "num_samples": 4}}}, "<dict>")
         validate_config(config)
         assert config_hash(config) == (
-            "653730d127397191d2dc376da5a5e68f4b4e6b0a7fc0d2f9d4ede580826fa1ab")
+            "485477dd2ab038508fb560c34f0666139e1c9fdd08d75e21b8a1144c34117883")
 
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -249,15 +249,17 @@ FLOAT_KEYS = ([(name, f.name) for name, section in SECTIONS.items() for f in sec
 
 
 def _override(config: dict, name: str, key: str, value) -> dict:
-    """``config`` with ``name.key`` set to ``value``; ``name`` is a section or corpus.synth."""
-    (config["corpus"]["synth"] if name == "corpus.synth" else config[name])[key] = value
+    """``config`` with ``name.key`` set to ``value``; ``name`` is a section, corpus.synth or
+    eval_corpus.synth."""
+    field, _, synth = name.partition(".")
+    (config[field]["synth"] if synth else config[field])[key] = value
     return config
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("name,key", FLOAT_KEYS)
 def test_a_float_key_refuses_an_integer_too_large_for_a_float(tmp_path, name, key, sign):
-    assert len(FLOAT_KEYS) == 8
+    assert len(FLOAT_KEYS) == 6
     config = _override(tiny_config(tmp_path / "run"), name, key, sign * 10**400)
     code, err = _config_exit(config, tmp_path)
     assert code == 2 and err.count("\n") == 1
@@ -271,7 +273,6 @@ def test_a_float_key_refuses_an_integer_too_large_for_a_float(tmp_path, name, ke
     ({"time_mask_max": 17}, "time_mask_max must be in [0, 16]"),
     ({"mixup_rate": 1.5}, "mixup_rate must be in [0, 1]"),
     ({"mixup_alpha": 0}, "mixup_alpha must be finite and > 0"),
-    ({"mask_value": float("nan")}, "mask_value must be finite"),
 ])
 def test_an_augment_range_error_names_its_config(tmp_path, command, patch, message):
     config = tiny_config(tmp_path / "run")
@@ -279,6 +280,74 @@ def test_an_augment_range_error_names_its_config(tmp_path, command, patch, messa
     code, err = _config_exit(config, tmp_path, (command,))
     assert (code, err) == (2, f"config error: {tmp_path / 'c.json'}: augment: {message}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+TOO_MANY_SAMPLES = "feature_shape (16, 8) of 9223372036854775808 samples does not fit in memory"
+
+
+@pytest.mark.parametrize("command,name,key,value,message", [
+    ("train", "corpus.synth", "num_samples", 2**63, TOO_MANY_SAMPLES),
+    ("coverage", "corpus.synth", "num_samples", 2**63, TOO_MANY_SAMPLES),
+    ("train", "eval_corpus.synth", "num_samples", 2**63, TOO_MANY_SAMPLES),
+    ("train", "model", "embed_dim", 2**40, "31885837205624 parameters do not fit in memory"),
+])
+def test_an_allocation_error_names_its_config_and_key(tmp_path, command, name, key, value,
+                                                      message):
+    config = _override(tiny_config(tmp_path / "run"), name, key, value)
+    code, err = _config_exit(config, tmp_path, (command,))
+    assert (code, err) == (2, f"config error: {tmp_path / 'c.json'}: {name}: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+# Settings the recipe fixes, with the value each had: the mask fill, the decay factor, the
+# headline's epoch count and the weight-averaging start (null: the schedule's).
+RETIRED = [("augment", "mask_value", 0.0), ("train", "decay_factor", 0.5),
+           ("train", "report_last_k", 5), (None, "weight_avg_start", None)]
+
+
+@pytest.mark.parametrize("command", ["train", "coverage"])
+@pytest.mark.parametrize("section,key,value", RETIRED)
+def test_a_retired_config_key_is_refused(tmp_path, command, section, key, value):
+    config = tiny_config(tmp_path / "run")
+    if section is None:
+        config[key], named = value, repr(key)
+    else:
+        config[section] = {**config[section], key: value}
+        named = f"{section}.{key}"
+    code, err = _config_exit(config, tmp_path, (command,))
+    assert (code, err) == (2, f"config error: {tmp_path / 'c.json'}: unknown config key {named}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+def test_a_run_whose_config_holds_retired_keys_still_reads_back(tmp_path, capsys):
+    # A run trained when these keys existed: its config.json holds them, and its summary
+    # records the hash of that config.
+    run_dir = run_train(tiny_config(tmp_path / "run"))
+    config = read_json(run_dir / "config.json")
+    for section, key, value in RETIRED:
+        (config[section] if section else config)[key] = value
+    write_json(run_dir / "config.json", config)
+    summary = read_json(run_dir / "summary.json")
+    write_json(run_dir / "summary.json", {**summary, "config_hash": config_hash(config)})
+    write_ontology(Ontology.from_edges(4, [(0, 1), (0, 2), (1, 3)]), tmp_path / "onto.txt",
+                   [f"class{k:03d}" for k in range(4)])
+    (tmp_path / "solo.txt").write_text(f"{run_dir}\n")
+    capsys.readouterr()
+    for argv in (["eval", "--run", str(run_dir)],
+                 ["enhance", "--teacher-run", str(run_dir), "--ontology",
+                  str(tmp_path / "onto.txt"), "--out", str(tmp_path / "enh")],
+                 ["aggregate", "--manifest", str(tmp_path / "solo.txt"),
+                  "--out", str(tmp_path / "agg")]):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
+
+
+def test_synth_has_no_cooccurrence_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["synth", "--cooccurrence", "0.1", "--out", str(tmp_path / "c")])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --cooccurrence 0.1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 CONFIG_KEYS = SECTION_KEYS + [("corpus.synth", f.name) for f in fields(SynthSpec)]
@@ -420,11 +489,10 @@ class TestRunTrain:
         assert sa["per_epoch_map"] == sb["per_epoch_map"]
 
     def test_headline_is_mean_of_the_last_k_epochs(self, tmp_path):
-        config = tiny_config(tmp_path / "run", epochs=4)
-        config["train"]["report_last_k"] = 2
+        config = tiny_config(tmp_path / "run", epochs=6)
         summary = json.loads((run_train(config) / "summary.json").read_text())
-        assert len(summary["per_epoch_map"]) == 4
-        assert summary["headline_map"] == float(np.mean(summary["per_epoch_map"][-2:]))
+        assert len(summary["per_epoch_map"]) == 6
+        assert summary["headline_map"] == float(np.mean(summary["per_epoch_map"][-5:]))
 
     def test_train_refuses_an_existing_directory(self, tmp_path):
         # A lock file left by a killed run, a finished run, and an empty directory.
@@ -1244,15 +1312,19 @@ class TestBadInputExitCodes:
         assert not (tmp_path / "run").exists()
 
     def test_weight_avg_start_must_be_a_positive_integer(self, tmp_path, capsys):
-        config = tiny_config(tmp_path / "run", epochs=1)
+        # summary.json records the schedule's start; a config cannot set one, not even 1.
+        config = tiny_config(tmp_path / "run", epochs=4)
         config_file = tmp_path / "c.json"
-        for bad in (0, -1, 1.5, True, "2"):
-            config_file.write_text(json.dumps({**config, "weight_avg_start": bad}))
-            self.assert_config_error(["train", "--config", str(config_file)], capsys)
-        config_file.write_text(json.dumps({**config, "weight_avg_start": 1}))
+        for value in (0, -1, 1.5, True, "2", None, 1):
+            config_file.write_text(json.dumps({**config, "weight_avg_start": value}))
+            err = self.assert_config_error(["train", "--config", str(config_file)], capsys)
+            assert err.endswith(": unknown config key 'weight_avg_start'\n")
+        assert not (tmp_path / "run").exists()
+        config_file.write_text(json.dumps(config))
         assert main(["train", "--config", str(config_file)]) == 0
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-        assert summary["weight_avg_start"] == 1
+        start = validate_config(config)[3].schedule.averaging_start_epoch(4)
+        assert summary["weight_avg_start"] == start == 4  # the rate is a quarter at epoch 4
 
 
 @pytest.mark.parametrize("case", ["train --config DIR", "enhance --ontology DIR",
@@ -1387,11 +1459,11 @@ def test_the_shared_labels_are_never_written(tmp_path, monkeypatch):
 
     config, built, real = tiny_config(tmp_path / "run", epochs=2), {}, cli.build_corpus
 
-    def shared(spec):  # each command gets the one corpus object a spec names
+    def shared(spec, *rest):  # each command gets the one corpus object a spec names
         if spec is None:
             return None
         if spec["synth"] not in built:
-            built[spec["synth"]] = real(spec)
+            built[spec["synth"]] = real(spec, *rest)
         return built[spec["synth"]]
 
     monkeypatch.setattr(cli, "build_corpus", shared)

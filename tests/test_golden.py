@@ -11,7 +11,7 @@ moves bits regenerates it with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says which outputs moved. Float64 rounding depends on numpy, its BLAS and the
+and says which outputs moved; the command prints the paths whose digests moved. Float64 rounding depends on numpy, its BLAS and the
 SIMD extensions numpy found on the CPU, so the file lists the fingerprints its
 digests were verified on, and the test skips on any other. On a new fingerprint,
 
@@ -110,11 +110,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         paths = run_lifecycle()
+    moved = sorted(k for k in paths.keys() | golden["paths"].keys()
+                   if paths.get(k) != golden["paths"].get(k))
     if mode == ["--write"]:
+        print(f"{len(moved)} paths moved: {moved}")
         golden = {"fingerprints": [here], "paths": paths}
-    elif paths != golden["paths"]:
-        moved = sorted(k for k in paths.keys() | golden["paths"].keys()
-                       if paths.get(k) != golden["paths"].get(k))
+    elif moved:
         sys.exit(f"{len(moved)} paths differ here, so {here} is not added: {moved}")
     elif here not in golden["fingerprints"]:
         golden["fingerprints"].append(here)

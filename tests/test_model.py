@@ -412,7 +412,7 @@ class TestLRSchedule:
 
     def test_balanced_regime_epoch_decay(self):
         sched = LRSchedule(base_lr=1e-3, warmup_iters=1000,
-                           decay_start_epoch=35, decay_period=5, decay_factor=0.5)
+                           decay_start_epoch=35, decay_period=5)
         late = 10_000  # past warmup
         for epoch in range(1, 36):
             assert sched.lr(late, epoch) == pytest.approx(1e-3)
@@ -427,15 +427,15 @@ class TestLRSchedule:
         assert sched.lr(1, 500) > 0
 
     @pytest.mark.parametrize("kw", [dict(base_lr=0.0), dict(base_lr=-1e-3), dict(base_lr=math.nan),
-                                    dict(warmup_iters=-5), dict(decay_factor=0.0),
-                                    dict(decay_factor=-0.5), dict(decay_factor=1.5),
+                                    dict(warmup_iters=-5), dict(decay_period=0),
+                                    dict(decay_period=-5), dict(base_lr=-math.inf),
                                     dict(base_lr=math.inf)])
     def test_out_of_range_rejected(self, kw):
         with pytest.raises(ModelError):
             LRSchedule(**kw)
 
     def test_range_edges_accepted(self):
-        LRSchedule(base_lr=sys.float_info.max, warmup_iters=0, decay_factor=1.0)
+        LRSchedule(base_lr=sys.float_info.max, warmup_iters=0, decay_period=1)
 
     def test_averaging_window_starts_at_quarter_rate(self):
         balanced = LRSchedule(base_lr=1e-3, decay_start_epoch=35)
@@ -608,7 +608,7 @@ def test_predict_bytes_independent_of_blas_threads(tmp_path):
     assert scores["1"] == scores["2"]
 
 
-def per_sample_batch(corpus, labels, plan, index, mask_value):
+def per_sample_batch(corpus, labels, plan, index):
     """Reference batch assembly: the oracles' mixup then apply_mask, draw by draw."""
     xs, ys = [], []
     for n in index:
@@ -621,7 +621,7 @@ def per_sample_batch(corpus, labels, plan, index, mask_value):
                          float(plan.mix_lambda[n]))
         mask = MaskParams(freq_off=int(plan.freq_off[n]), freq_len=int(plan.freq_len[n]),
                           time_off=int(plan.time_off[n]), time_len=int(plan.time_len[n]))
-        xs.append(apply_mask(x, mask, mask_value))
+        xs.append(apply_mask(x, mask))
         ys.append(y)
     return np.stack(xs), np.stack(ys)
 
@@ -629,13 +629,15 @@ def per_sample_batch(corpus, labels, plan, index, mask_value):
 class TestAssembleBatch:
     @pytest.mark.parametrize("mixup_rate", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("masks", ["drawn", "empty", "full"])
-    @pytest.mark.parametrize("mask_value", [0.0, -3.25])
-    def test_matches_per_sample_oracle(self, mixup_rate, masks, mask_value):
-        # Small clips in batches of 16, then PSLA's clip shape in batches of 10.
+    @pytest.mark.parametrize("offset", [0.0, -3.25])
+    def test_matches_per_sample_oracle(self, mixup_rate, masks, offset):
+        # Small clips in batches of 16, then PSLA's clip shape in batches of 10. Masked bins
+        # hold 0.0 at any feature level: a fill taken from the clip would follow the offset.
         for shape, num_samples, batch in (((16, 8), 50, 16), (PSLA_CLIP, 12, 10)):
             corpus = generate_synthetic(SynthSpec(num_classes=4, num_samples=num_samples,
                                                   imbalance_ratio=3, seed=34,
                                                   feature_shape=shape))
+            corpus.features += np.float32(offset)
             labels = corpus.label_matrix()
             t_frames, f_bins = shape
             plan = plan_epoch(np.ones(len(corpus)),
@@ -651,8 +653,8 @@ class TestAssembleBatch:
                                time_off=zeros, time_len=np.full(n, t_frames))
             for lo in range(0, n, batch):  # the last batch is partial
                 index = np.arange(lo, min(lo + batch, n))
-                x, y = _assemble_batch(corpus, labels, plan, index, mask_value)
-                want_x, want_y = per_sample_batch(corpus, labels, plan, index, mask_value)
+                x, y = _assemble_batch(corpus, labels, plan, index)
+                want_x, want_y = per_sample_batch(corpus, labels, plan, index)
                 assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
                 assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes()
 
@@ -667,7 +669,7 @@ class TestAssembleBatch:
         index = np.arange(32)
         tracemalloc.start()
         try:
-            x, y = _assemble_batch(corpus, labels, plan, index, 0.0)
+            x, y = _assemble_batch(corpus, labels, plan, index)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
